@@ -1,232 +1,203 @@
-//! `loadgen` — replay a spec against a running `serve` daemon and report
-//! throughput/latency.
+//! `loadgen` — replay seeded requests against a running `serve` daemon
+//! and accept only replies that match a local oracle byte for byte.
 //!
 //! ```text
-//! loadgen --addr HOST:PORT [--spec FILE] [--task NAME] [--requests N]
-//!         [--rps N] [--connections C] [--out FILE]
-//!         [--retries N] [--backoff-ms N] [--seed N]
-//!         [--require-cache-hit] [--probe-overload N] [--shutdown]
-//!         [--chaos-soak] [--soak-tag TAG] [--direct-addr HOST:PORT]
-//!         [--latency-series FILE] [--series-interval-ms N] [--dump]
-//!         [--edit-replay] [--optimize-replay]
+//! loadgen --addr HOST:PORT [--mode disparity|patch|optimize|chaos]
+//!         [--spec FILE] [--task NAME] [--requests N] [--connections C]
+//!         [--retries N] [--seed N] [--soak-tag TAG]
+//!         [--direct-addr HOST:PORT] [--probe-overload N]
+//!         [--latency-series FILE] [--dump] [--shutdown] [--out FILE]
 //! ```
 //!
-//! Each connection runs a synchronous request/response loop over the
-//! NDJSON protocol, paced so the aggregate send rate approximates
-//! `--rps` (0 = as fast as possible). The report (one JSON object on
-//! stdout, optionally also written to `--out`) carries client-side
-//! status counts, latency percentiles, and the server's own `stats`
-//! counters, so CI can assert cache hit-rate and overload accounting.
+//! loadgen checks answers; it does not measure speed (`bash e2e/run.sh`
+//! is the benchmark). Every mode runs through one replay driver:
 //!
-//! # Retry
+//! 1. **Seat.** The spec is sent once as a `disparity` request, so the
+//!    server holds the base graph that `patch` and `optimize` address by
+//!    canonical hash.
+//! 2. **Replay.** `--requests` requests, cycling through the mode's
+//!    seeded pool, go out under unique ids spread over `--connections`
+//!    threads. Each line is one write, newline included, on a
+//!    `TCP_NODELAY` socket.
+//! 3. **Compare.** A reply is accepted only when it carries a
+//!    well-formed `trace_id` and, with that stamp peeled, is
+//!    byte-identical to the reply the local library computes. Anything
+//!    else drops the connection and retries on a fresh one, up to
+//!    `--retries` times with jittered exponential backoff seeded by
+//!    `--seed`. A wrong reply that still parses as our `ok` answer is
+//!    counted as caught corruption.
+//! 4. **Counters.** The server's `stats` counters that the mode names
+//!    must have moved during the run. Control ops (`stats`, `health`,
+//!    `metrics`, `dump`, `shutdown`) go to `--direct-addr`, past any
+//!    proxy (default `--addr`).
 //!
-//! Analysis requests are idempotent (the response is a pure function of
-//! the spec), so transport failures are safely retried: `--retries N`
-//! gives each request a budget of N extra attempts over fresh
-//! connections, spaced by jittered exponential backoff starting at
-//! `--backoff-ms` (jitter is seeded by `--seed`; runs are reproducible).
+//! | mode | pool | oracle | counters that must move |
+//! |---|---|---|---|
+//! | `disparity` | the seat request | cold pipeline | `cache_hits` |
+//! | `patch` | ≤ 8 seeded single-field WCET edits against the base hash | cold pipeline on the edited spec | `patched`; `patch_memo_hits` once an edit recurs |
+//! | `optimize` | slot budgets 0–4 against the base hash, plan seed `--seed` | `optimize_analyzed` + `encode_optimize_result` | `optimized` per request; scored states once a budget is non-zero |
+//! | `chaos` | the seat request, in two batches | cold pipeline | `cache_hits`, `panics`, `quarantined` |
 //!
-//! # Chaos soak
+//! `chaos` runs behind `chaosproxy`. Its second batch runs while a
+//! quarantine probe sends a deliberately panicking spec (salted by
+//! `--soak-tag`, so repeated runs against one server use fresh specs)
+//! until the server answers `rejected`. That must take at least three
+//! sends and at most two `internal_error`s. Last, a `health` query must
+//! show every worker alive and a quarantined spec.
 //!
-//! `--chaos-soak` flips loadgen from a throughput tool into a
-//! correctness harness for runs behind `chaosproxy`: every request gets
-//! a unique id and is only accepted when the response is **byte-identical**
-//! to encoding a direct engine run — anything else (garbage, truncation,
-//! a mangled request answered `error`, an id mismatch) drops the
-//! connection and retries. The soak also runs a quarantine probe — a
-//! deliberately panicking spec (derived from `--soak-tag`, so repeated
-//! runs against one server use distinct specs) must be quarantined after
-//! two processed attempts — concurrently with healthy traffic, then
-//! asserts via `--direct-addr` (default `--addr`) that the server ends
-//! with every worker alive. The soak fails on any lost, duplicated, or
-//! corrupted-and-accepted response.
+//! The run fails on any lost or duplicated reply, on caught corruption
+//! outside `chaos` (with no proxy in the path the server itself was
+//! wrong), and on a counter that did not move. `--probe-overload N`
+//! then fires N slow `sleep` requests down one connection and requires
+//! an `overloaded` bounce that the server counted too.
 //!
-//! Exit is non-zero on protocol errors (unparsable responses, missing
-//! ids, exhausted retry budgets), on `--require-cache-hit` without a
-//! server-side cache hit, on `--probe-overload N` when a burst of N slow
-//! requests down one extra connection fails to exercise the queue-full
-//! path, and on any failed chaos-soak assertion.
-//!
-//! `--shutdown` sends the `shutdown` op once the run (and its stats
-//! query) is complete, so a scripted smoke can let the daemon drain and
-//! flush its obs artifacts instead of killing it. `--dump` sends the
-//! `dump` op after the run, making the server write its flight-recorder
-//! postmortem (requires the server to run with `--postmortem-dir`).
-//!
-//! # Edit replay
-//!
-//! `--edit-replay` exercises the incremental (`patch`) path end to end:
-//! the full spec is sent once to seat the base graph in the server's
-//! cache, then `--requests` patch requests — each a seeded random
-//! single-field WCET edit against the base's canonical hash — are
-//! replayed, cycling through a small pool of distinct edits so later
-//! iterations land on the server's patch memo. Every response must be
-//! **byte-identical** to encoding a direct engine run on the locally
-//! edited spec; the run also asserts the server's `patched` /
-//! `patch_memo_hits` counters moved, so CI can prove both the derive and
-//! the warm path were exercised.
-//!
-//! # Optimize replay
-//!
-//! `--optimize-replay` exercises the global buffer-plan optimizer end to
-//! end: the full spec is sent once to seat the base graph, then
-//! `--requests` `optimize` requests — cycling a small sweep of slot
-//! budgets against the base's canonical hash, all carrying `--seed` as
-//! the plan seed — are replayed. Every response must be
-//! **byte-identical** to a local [`disparity_opt`] run plus the pure
-//! [`encode_optimize_result`] encoder (replaying the same budget twice
-//! must therefore also produce identical bytes), and the run asserts the
-//! server's `optimized` / `opt_delta_scored` / `opt_cold_scored`
-//! counters moved.
-//!
-//! # Latency series
-//!
-//! `--latency-series FILE` samples the server's `metrics` op every
-//! `--series-interval-ms` (default 100) for the duration of the run and
-//! writes one NDJSON line per sample —
-//! `{"t_ms":..,"queue_depth":..,"window":{..}}` — a machine-readable
-//! timeline of the sliding-window latency view under load. Works in both
-//! throughput and chaos-soak modes.
+//! The report is one JSON object on stdout (and in `--out`), with one
+//! schema for every mode, ending in `"passed"`; the exit status follows
+//! it. `--latency-series FILE` samples the `metrics` op every 100 ms
+//! into an NDJSON timeline, `--dump` asks for a flight-recorder
+//! postmortem after the run, and `--shutdown` drains the daemon last.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use disparity_core::delta::AnalyzedSystem;
 use disparity_core::disparity::AnalysisConfig;
 use disparity_core::engine::AnalysisEngine;
 use disparity_model::edit::{apply_all, SpecEdit};
-use disparity_model::graph::CauseEffectGraph;
 use disparity_model::json::{self, Value};
 use disparity_model::spec::SystemSpec;
 use disparity_model::time::Duration as SpecDuration;
-use disparity_obs::Histogram;
+use disparity_opt::{optimize_analyzed, BackendChoice, BufferBudget, PlanRequest};
 use disparity_rng::rngs::StdRng;
 use disparity_rng::{splitmix64_mix, Rng};
-use disparity_opt::{optimize_analyzed, BackendChoice, BufferBudget, PlanRequest};
 use disparity_sched::wcrt::response_times;
 use disparity_service::proto::{
-    encode_disparity_result, encode_optimize_result, is_trace_id, response_line, split_trace,
-    ResponseBody, Status,
+    encode_disparity_result, encode_optimize_result, is_trace_id, ok_line_prerendered, split_trace,
 };
+
+/// Base of the jittered exponential retry backoff.
+const BACKOFF_MS: u64 = 5;
+/// Gap between `--latency-series` samples.
+const SERIES_INTERVAL: Duration = Duration::from_millis(100);
+/// Read timeout, so a stalled (chaos) connection cannot wedge a client.
+const READ_TIMEOUT: Duration = Duration::from_secs(3);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Disparity,
+    Patch,
+    Optimize,
+    Chaos,
+}
+
+impl Mode {
+    fn parse(s: &str) -> Result<Mode, String> {
+        match s {
+            "disparity" => Ok(Mode::Disparity),
+            "patch" => Ok(Mode::Patch),
+            "optimize" => Ok(Mode::Optimize),
+            "chaos" => Ok(Mode::Chaos),
+            other => Err(format!(
+                "unknown --mode {other:?} (disparity|patch|optimize|chaos)"
+            )),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Disparity => "disparity",
+            Mode::Patch => "patch",
+            Mode::Optimize => "optimize",
+            Mode::Chaos => "chaos",
+        }
+    }
+}
 
 struct Args {
     addr: String,
+    mode: Mode,
     spec: String,
     task: Option<String>,
     requests: usize,
-    rps: u64,
     connections: usize,
-    out: Option<String>,
     retries: u32,
-    backoff_ms: u64,
     seed: u64,
-    require_cache_hit: bool,
-    probe_overload: usize,
-    shutdown: bool,
-    chaos_soak: bool,
-    soak_tag: String,
+    tag: String,
     direct_addr: Option<String>,
+    probe_overload: usize,
     latency_series: Option<String>,
-    series_interval_ms: u64,
     dump: bool,
-    edit_replay: bool,
-    optimize_replay: bool,
+    shutdown: bool,
+    out: Option<String>,
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            addr: "127.0.0.1:7414".to_string(),
+            mode: Mode::Disparity,
+            spec: "specs/waters_clean.json".to_string(),
+            task: None,
+            requests: 100,
+            connections: 4,
+            retries: 1,
+            seed: 42,
+            tag: "loadgen".to_string(),
+            direct_addr: None,
+            probe_overload: 0,
+            latency_series: None,
+            dump: false,
+            shutdown: false,
+            out: None,
+        }
+    }
+}
+
+impl Args {
+    /// Where control ops go: past any chaos proxy.
+    fn direct(&self) -> &str {
+        self.direct_addr.as_deref().unwrap_or(&self.addr)
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7414".to_string(),
-        spec: "specs/waters_clean.json".to_string(),
-        task: None,
-        requests: 100,
-        rps: 0,
-        connections: 4,
-        out: None,
-        retries: 0,
-        backoff_ms: 10,
-        seed: 42,
-        require_cache_hit: false,
-        probe_overload: 0,
-        shutdown: false,
-        chaos_soak: false,
-        soak_tag: "soak".to_string(),
-        direct_addr: None,
-        latency_series: None,
-        series_interval_ms: 100,
-        dump: false,
-        edit_replay: false,
-        optimize_replay: false,
-    };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match arg.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--spec" => args.spec = value("--spec")?,
-            "--task" => args.task = Some(value("--task")?),
-            "--requests" => {
-                args.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--rps" => args.rps = value("--rps")?.parse().map_err(|e| format!("--rps: {e}"))?,
-            "--connections" => {
-                args.connections = value("--connections")?
-                    .parse()
-                    .map_err(|e| format!("--connections: {e}"))?;
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--retries" => {
-                args.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-            }
-            "--backoff-ms" => {
-                args.backoff_ms = value("--backoff-ms")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-ms: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--require-cache-hit" => args.require_cache_hit = true,
-            "--probe-overload" => {
-                args.probe_overload = value("--probe-overload")?
-                    .parse()
-                    .map_err(|e| format!("--probe-overload: {e}"))?;
-            }
-            "--shutdown" => args.shutdown = true,
-            "--chaos-soak" => args.chaos_soak = true,
-            "--soak-tag" => args.soak_tag = value("--soak-tag")?,
-            "--direct-addr" => args.direct_addr = Some(value("--direct-addr")?),
-            "--latency-series" => args.latency_series = Some(value("--latency-series")?),
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--addr" => args.addr = value()?,
+            "--mode" => args.mode = Mode::parse(&value()?)?,
+            "--spec" => args.spec = value()?,
+            "--task" => args.task = Some(value()?),
+            "--requests" => args.requests = number(&flag, &value()?)?,
+            "--connections" => args.connections = number(&flag, &value()?)?,
+            "--retries" => args.retries = number(&flag, &value()?)?,
+            "--seed" => args.seed = number(&flag, &value()?)?,
+            "--soak-tag" => args.tag = value()?,
+            "--direct-addr" => args.direct_addr = Some(value()?),
+            "--probe-overload" => args.probe_overload = number(&flag, &value()?)?,
+            "--latency-series" => args.latency_series = Some(value()?),
+            "--out" => args.out = Some(value()?),
             "--dump" => args.dump = true,
-            "--edit-replay" => args.edit_replay = true,
-            "--optimize-replay" => args.optimize_replay = true,
-            "--series-interval-ms" => {
-                args.series_interval_ms = value("--series-interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--series-interval-ms: {e}"))?;
-            }
+            "--shutdown" => args.shutdown = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
     Ok(args)
-}
-
-#[derive(Default)]
-struct Tally {
-    ok: AtomicU64,
-    overloaded: AtomicU64,
-    timeouts: AtomicU64,
-    errors: AtomicU64,
-    protocol_errors: AtomicU64,
-    retried: AtomicU64,
 }
 
 fn bump(c: &AtomicU64) {
@@ -237,287 +208,580 @@ fn load(c: &AtomicU64) -> u64 {
     c.load(Ordering::Relaxed)
 }
 
-/// Jittered exponential backoff: `base * 2^(attempt-1)`, scaled by a
-/// random 50–150% factor, capped at ~3.2s worth of doublings.
-fn backoff_delay(rng: &mut StdRng, base_ms: u64, attempt: u32) -> Duration {
-    let exp = base_ms.saturating_mul(1 << attempt.saturating_sub(1).min(6));
+fn uint(v: u64) -> Value {
+    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
+}
+
+/// Jittered exponential backoff: `BACKOFF_MS * 2^(attempt-1)`, scaled by
+/// a random 50–150% factor, capped at six doublings.
+fn backoff_delay(rng: &mut StdRng, attempt: u32) -> Duration {
+    let exp = BACKOFF_MS << attempt.saturating_sub(1).min(6);
     Duration::from_millis(exp * rng.gen_range(50..=150u64) / 100)
 }
 
-/// One synchronous request over an open connection; records latency and
-/// status. Returns `false` on transport failure (nothing recorded — the
-/// caller decides whether to retry over a fresh connection).
-fn one_request(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    line: &str,
+// ---------------------------------------------------------------------------
+// Transport
+// ---------------------------------------------------------------------------
+
+/// Writes `line` and its newline in one `write_all`: a request split over
+/// two writes on a Nagle socket waits out the peer's delayed ACK.
+fn send_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    out.write_all(&framed)
+}
+
+/// A client connection with `TCP_NODELAY` and a read timeout.
+struct Conn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    fn open(addr: &str) -> Option<Conn> {
+        let stream = TcpStream::connect(addr).ok()?;
+        stream.set_nodelay(true).ok()?;
+        stream.set_read_timeout(Some(READ_TIMEOUT)).ok()?;
+        let reader = BufReader::new(stream.try_clone().ok()?);
+        Some(Conn { stream, reader })
+    }
+
+    fn send(&mut self, line: &str) -> Option<()> {
+        send_line(&mut self.stream, line).ok()
+    }
+
+    /// The next reply line, without its newline; `None` on EOF, timeout
+    /// or a read error.
+    fn recv(&mut self) -> Option<String> {
+        let mut reply = String::new();
+        match self.reader.read_line(&mut reply) {
+            Ok(n) if n > 0 => Some(reply.trim_end().to_string()),
+            _ => None,
+        }
+    }
+
+    fn exchange(&mut self, line: &str) -> Option<String> {
+        self.send(line)?;
+        self.recv()
+    }
+}
+
+/// Sends one control op on a fresh connection; returns the parsed reply.
+fn query(addr: &str, op: &str) -> Result<Value, String> {
+    let line = format!("{{\"id\":\"loadgen-{op}\",\"op\":\"{op}\"}}");
+    let reply = Conn::open(addr)
+        .and_then(|mut c| c.exchange(&line))
+        .ok_or_else(|| format!("{op} query got no reply from {addr}"))?;
+    Value::parse(&reply).map_err(|e| format!("{op} reply: {e}"))
+}
+
+/// The `result` member of a control op's reply.
+fn query_result(addr: &str, op: &str) -> Result<Value, String> {
+    query(addr, op)?
+        .get("result")
+        .cloned()
+        .ok_or_else(|| format!("{op} reply has no result"))
+}
+
+fn counter(counters: &Value, name: &str) -> u64 {
+    counters
+        .get(name)
+        .and_then(Value::as_i64)
+        .and_then(|n| u64::try_from(n).ok())
+        .unwrap_or(0)
+}
+
+fn stats_counters(addr: &str) -> Result<Value, String> {
+    query_result(addr, "stats")?
+        .get("counters")
+        .cloned()
+        .ok_or_else(|| "stats reply has no counters".to_string())
+}
+
+// ---------------------------------------------------------------------------
+// The replay driver
+// ---------------------------------------------------------------------------
+
+/// One replayable request: the members after its `"id"`, and the
+/// rendered `result` of the `ok` reply the local oracle expects.
+#[derive(Clone)]
+struct Exchange {
+    body: String,
+    result: String,
+}
+
+/// What a mode replays, built from the spec before any traffic flows.
+struct Plan {
+    task: String,
+    /// The base spec's cold `disparity` request, sent first.
+    seat: Exchange,
+    pool: Vec<Exchange>,
+    /// `stats` gates: over the run, each group of named counters must
+    /// grow by at least the given total.
+    expect: Vec<(&'static [&'static str], u64)>,
+    /// `chaos` only: the panicking spec for the quarantine probe.
+    poison: Option<String>,
+}
+
+#[derive(Default)]
+struct Tally {
+    accepted: AtomicU64,
+    lost: AtomicU64,
+    duplicated: AtomicU64,
+    /// Wrong replies that parsed as our `ok` answer: caught and retried.
+    corruption_caught: AtomicU64,
+    retried: AtomicU64,
+    ids: Mutex<HashSet<String>>,
+}
+
+/// Whether a reply parses as the `ok` answer to `id`.
+fn is_our_ok(reply: &str, id: &str) -> bool {
+    Value::parse(reply).is_ok_and(|v| {
+        v.get("id").and_then(Value::as_str) == Some(id)
+            && v.get("status").and_then(Value::as_str) == Some("ok")
+    })
+}
+
+/// Sends `exchange` under `id` until the reply, with its trace id peeled
+/// and checked, is byte-identical to the oracle's. This is the only place
+/// a reply is accepted. A failed attempt drops the connection (a stream
+/// that returned the wrong bytes may be out of step) and retries on a
+/// fresh one.
+fn replay_one(
+    addr: &str,
+    conn: &mut Option<Conn>,
+    exchange: &Exchange,
+    id: &str,
+    retries: u32,
+    rng: &mut StdRng,
     tally: &Tally,
-    latency: &Mutex<Histogram>,
-) -> bool {
-    let started = Instant::now();
-    if stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
-        return false;
-    }
-    let mut response = String::new();
-    match reader.read_line(&mut response) {
-        Ok(n) if n > 0 => {}
-        _ => return false,
-    }
-    let micros = i64::try_from(started.elapsed().as_micros()).unwrap_or(i64::MAX);
-    if let Ok(mut hist) = latency.lock() {
-        hist.record(micros);
-    }
-    match Value::parse(response.trim_end()) {
-        Ok(v) => match v.get("status").and_then(Value::as_str) {
-            Some("ok") => bump(&tally.ok),
-            Some("overloaded") => bump(&tally.overloaded),
-            Some("timeout") => bump(&tally.timeouts),
-            Some("error" | "rejected" | "shutting_down" | "internal_error") => {
-                bump(&tally.errors);
+) {
+    let id_value = Value::from(id);
+    let line = format!("{{\"id\":{id_value},{}}}", exchange.body);
+    let want = ok_line_prerendered(&id_value, &exchange.result);
+    for attempt in 0..=retries {
+        if attempt > 0 {
+            bump(&tally.retried);
+            std::thread::sleep(backoff_delay(rng, attempt));
+        }
+        if conn.is_none() {
+            *conn = Conn::open(addr);
+        }
+        let reply = conn.as_mut().and_then(|c| c.exchange(&line));
+        match reply.as_deref().and_then(split_trace) {
+            Some((pure, trace)) if is_trace_id(&trace) && pure == want => {
+                bump(&tally.accepted);
+                if !tally
+                    .ids
+                    .lock()
+                    .is_ok_and(|mut ids| ids.insert(id.to_string()))
+                {
+                    bump(&tally.duplicated);
+                }
+                return;
             }
-            _ => bump(&tally.protocol_errors),
-        },
-        Err(_) => bump(&tally.protocol_errors),
+            _ => {
+                if reply.as_deref().is_some_and(|r| is_our_ok(r, id)) {
+                    bump(&tally.corruption_caught);
+                }
+                *conn = None;
+            }
+        }
     }
-    true
+    bump(&tally.lost);
 }
 
-fn open_conn(addr: &str) -> Option<(TcpStream, BufReader<TcpStream>)> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let read_half = stream.try_clone().ok()?;
-    Some((stream, BufReader::new(read_half)))
-}
-
-fn run_load(args: &Args, request_line: &str) -> Result<(Tally, Histogram, Duration), String> {
-    let tally = Tally::default();
-    let latency = Mutex::new(Histogram::new());
-    let connections = args.connections.max(1);
-    let per_conn = args.requests.div_ceil(connections);
-    // Pace each connection at its share of the aggregate target rate.
-    let pause = if args.rps == 0 {
-        Duration::ZERO
-    } else {
-        Duration::from_micros(1_000_000 * connections as u64 / args.rps.max(1))
-    };
-    let started = Instant::now();
+/// Replays `count` requests cycling through `pool`, under ids
+/// `{tag}-{phase}-{i}` spread over `--connections` threads.
+fn replay(args: &Args, phase: &str, pool: &[Exchange], count: usize, tally: &Tally) {
+    let connections = args.connections.clamp(1, count.max(1));
     std::thread::scope(|scope| {
-        for conn_index in 0..connections {
-            let (tally, latency) = (&tally, &latency);
+        for c in 0..connections {
             scope.spawn(move || {
-                let mut rng =
-                    StdRng::seed_from_u64(splitmix64_mix(args.seed ^ conn_index as u64));
-                let mut conn = open_conn(&args.addr);
-                for _ in 0..per_conn {
-                    let mut attempt = 0u32;
-                    loop {
-                        if conn.is_none() {
-                            conn = open_conn(&args.addr);
-                        }
-                        let done = match &mut conn {
-                            Some((stream, reader)) => {
-                                one_request(stream, reader, request_line, tally, latency)
-                            }
-                            None => false,
-                        };
-                        if done {
-                            break;
-                        }
-                        // Transport failure: the connection is suspect.
-                        conn = None;
-                        attempt += 1;
-                        if attempt > args.retries {
-                            bump(&tally.protocol_errors);
-                            break;
-                        }
-                        bump(&tally.retried);
-                        std::thread::sleep(backoff_delay(&mut rng, args.backoff_ms, attempt));
-                    }
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
+                let salt = phase.bytes().fold(args.seed ^ c as u64, |h, b| {
+                    splitmix64_mix(h ^ u64::from(b))
+                });
+                let mut rng = StdRng::seed_from_u64(salt);
+                let mut conn = None;
+                for i in (c..count).step_by(connections) {
+                    let id = format!("{}-{phase}-{i}", args.tag);
+                    let exchange = &pool[i % pool.len()];
+                    replay_one(
+                        &args.addr,
+                        &mut conn,
+                        exchange,
+                        &id,
+                        args.retries,
+                        &mut rng,
+                        tally,
+                    );
                 }
             });
         }
     });
-    let elapsed = started.elapsed();
-    let hist = latency
-        .into_inner()
-        .map_err(|_| "latency histogram poisoned".to_string())?;
-    Ok((tally, hist, elapsed))
 }
 
-/// Sends one request over `addr` and reads one response line (3s read
-/// timeout so a chaos-stalled connection cannot wedge the client).
-fn send_and_read(addr: &str, line: &str) -> Option<String> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(3)))
-        .ok()?;
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .ok()?;
-    let mut response = String::new();
-    let n = BufReader::new(stream).read_line(&mut response).ok()?;
-    if n == 0 {
-        return None;
+// ---------------------------------------------------------------------------
+// Mode plans: the pool and its oracle
+// ---------------------------------------------------------------------------
+
+/// The cold pipeline on `spec`: the `result` of a `disparity` or `patch`
+/// reply for `task`.
+fn cold_result(spec: &SystemSpec, task: &str) -> Result<String, String> {
+    let graph = spec.build().map_err(|e| format!("building spec: {e}"))?;
+    let sink = graph
+        .find_task(task)
+        .ok_or_else(|| format!("task {task:?} not in spec"))?;
+    let rt = response_times(&graph).map_err(|e| format!("response times: {e}"))?;
+    let report = AnalysisEngine::new(&graph, &rt)
+        .worst_case_disparity(sink, AnalysisConfig::default())
+        .map_err(|e| format!("direct analysis: {e}"))?;
+    Ok(encode_disparity_result(&graph, &report).to_string())
+}
+
+/// Seeded single-field WCET edits against the base hash. Shrinking a
+/// WCET keeps every schedulability verdict, so each edit is admissible;
+/// cycling a small pool makes later requests land on the patch memo.
+fn patch_pool(args: &Args, spec: &SystemSpec, task: &str) -> Result<Vec<Exchange>, String> {
+    let base = spec.canonical_hash();
+    let candidates: Vec<_> = spec
+        .tasks
+        .iter()
+        .filter(|t| t.wcet.as_nanos() > t.bcet.as_nanos() && t.wcet.as_nanos() > 1)
+        .collect();
+    if candidates.is_empty() {
+        return Err("patch: no task has wcet > bcet to edit".to_string());
     }
-    Some(response.trim_end().to_string())
+    let mut rng = StdRng::seed_from_u64(splitmix64_mix(args.seed ^ 0xED17));
+    (0..args.requests.clamp(1, 8))
+        .map(|_| {
+            let pick = rng.gen_range(0..candidates.len() as u64);
+            let t = candidates[usize::try_from(pick).unwrap_or(0)];
+            let lo = u64::try_from(t.bcet.as_nanos()).unwrap_or(0).max(1);
+            let hi = u64::try_from(t.wcet.as_nanos()).unwrap_or(1);
+            let wcet = SpecDuration::from_nanos(i64::try_from(rng.gen_range(lo..hi)).unwrap_or(1));
+            let edit = SpecEdit::SetWcet {
+                task: t.name.clone(),
+                wcet,
+            };
+            let mut edited = spec.clone();
+            apply_all(&mut edited, std::slice::from_ref(&edit))
+                .map_err(|(i, e)| format!("patch: generated bad edit [{i}]: {e}"))?;
+            Ok(Exchange {
+                body: format!(
+                    "\"op\":\"patch\",\"base\":\"{base:016x}\",\"edits\":[{}],\"task\":{}",
+                    edit.to_json(),
+                    Value::from(task)
+                ),
+                result: cold_result(&edited, task)?,
+            })
+        })
+        .collect()
 }
 
-/// Queries one server-side op (`stats`/`health`) and returns its result.
-fn server_query(addr: &str, op: &str) -> Result<Value, String> {
-    let line = format!("{{\"id\":\"loadgen-{op}\",\"op\":\"{op}\"}}");
-    let response =
-        send_and_read(addr, &line).ok_or_else(|| format!("{op} query got no response"))?;
-    let v = Value::parse(&response).map_err(|e| format!("{op} parse: {e}"))?;
-    v.get("result")
-        .cloned()
-        .ok_or_else(|| format!("{op} response has no result"))
+/// A sweep of slot budgets against the base hash; each answer is a local
+/// optimizer run through the encoder the server uses.
+fn optimize_pool(args: &Args, spec: &SystemSpec) -> Result<Vec<Exchange>, String> {
+    let hash = spec.canonical_hash();
+    let base = AnalyzedSystem::analyze(spec, AnalysisConfig::default())
+        .map_err(|e| format!("optimize: base analysis: {e}"))?;
+    (0..args.requests.clamp(1, 5))
+        .map(|budget| {
+            let mut request = PlanRequest::with_budget(BufferBudget::slots(budget));
+            request.seed = args.seed;
+            let plan = optimize_analyzed(&base, &request, BackendChoice::Auto)
+                .map_err(|e| format!("optimize: planning (budget {budget}): {e}"))?;
+            let mut opt_spec = spec.clone();
+            apply_all(&mut opt_spec, &plan.edits())
+                .map_err(|(i, e)| format!("optimize: plan edit [{i}]: {e}"))?;
+            Ok(Exchange {
+                body: format!(
+                    "\"op\":\"optimize\",\"base\":\"{hash:016x}\",\"budget_slots\":{budget},\"seed\":{}",
+                    args.seed
+                ),
+                result: encode_optimize_result(&plan, opt_spec.canonical_hash(), None).to_string(),
+            })
+        })
+        .collect()
 }
 
-/// Fires `n` slow `sleep` requests down one connection as fast as
-/// possible; returns how many were bounced `overloaded`.
+/// The base spec with its first task's offset salted by `--soak-tag`, so
+/// each tag quarantines a fresh canonical hash.
+fn poison_spec(args: &Args, spec: &SystemSpec) -> Result<String, String> {
+    let mut poison = spec.clone();
+    let tag_hash = args
+        .tag
+        .bytes()
+        .fold(args.seed, |h, b| splitmix64_mix(h ^ u64::from(b)));
+    let first = poison
+        .tasks
+        .first_mut()
+        .ok_or_else(|| "spec has no tasks".to_string())?;
+    first.offset = SpecDuration::from_nanos(
+        first.offset.as_nanos() + i64::try_from(tag_hash % 1_000_000).unwrap_or(0) + 1,
+    );
+    Ok(poison.to_json().to_string())
+}
+
+/// Reads the spec and builds the mode's seat, pool, oracle answers and
+/// counter gates.
+fn plan(args: &Args) -> Result<Plan, String> {
+    let text =
+        std::fs::read_to_string(&args.spec).map_err(|e| format!("reading {}: {e}", args.spec))?;
+    let spec =
+        SystemSpec::from_json_str(&text).map_err(|e| format!("parsing {}: {e}", args.spec))?;
+    let task = match &args.task {
+        Some(name) => name.clone(),
+        None => {
+            let graph = spec
+                .build()
+                .map_err(|e| format!("building {}: {e}", args.spec))?;
+            let sink = *graph
+                .sinks()
+                .first()
+                .ok_or_else(|| format!("{} has no sink task", args.spec))?;
+            graph.task(sink).name().to_string()
+        }
+    };
+    let seat = Exchange {
+        body: format!(
+            "\"op\":\"disparity\",\"task\":{},\"spec\":{}",
+            Value::from(task.as_str()),
+            spec.to_json()
+        ),
+        result: cold_result(&spec, &task)?,
+    };
+    let n = args.requests as u64;
+    let (pool, expect) = match args.mode {
+        // The seat precedes the replay, so every replayed request hits.
+        Mode::Disparity => (vec![seat.clone()], vec![(&["cache_hits"][..], n.min(1))]),
+        Mode::Chaos => (
+            vec![seat.clone()],
+            vec![
+                (&["cache_hits"][..], 1),
+                // Two strikes before the quarantine, then a rejection.
+                (&["panics"][..], 2),
+                (&["quarantined"][..], 1),
+            ],
+        ),
+        Mode::Patch => {
+            let pool = patch_pool(args, &spec, &task)?;
+            let recurs = args.requests > pool.len();
+            let expect = vec![
+                (&["patched"][..], n.min(1)),
+                (&["patch_memo_hits"][..], u64::from(recurs)),
+            ];
+            (pool, expect)
+        }
+        Mode::Optimize => {
+            let pool = optimize_pool(args, &spec)?;
+            let searched = pool.len() > 1;
+            let expect = vec![
+                (&["optimized"][..], n),
+                (
+                    &["opt_delta_scored", "opt_cold_scored"][..],
+                    u64::from(searched),
+                ),
+            ];
+            (pool, expect)
+        }
+    };
+    let poison = match args.mode {
+        Mode::Chaos => Some(poison_spec(args, &spec)?),
+        _ => None,
+    };
+    Ok(Plan {
+        task,
+        seat,
+        pool,
+        expect,
+        poison,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Chaos: quarantine probe and health verdict
+// ---------------------------------------------------------------------------
+
+#[derive(Default)]
+struct ProbeOutcome {
+    sends: u32,
+    internal_errors: u32,
+    noise: u32,
+    rejected: bool,
+}
+
+/// Sends the panicking spec until the server quarantines it. Each send
+/// is one potential strike; `rejected` needs two processed strikes, so it
+/// can never appear before the third send.
+fn quarantine_probe(args: &Args, poison_json: &str) -> ProbeOutcome {
+    let mut rng = StdRng::seed_from_u64(splitmix64_mix(args.seed ^ 0x90150));
+    let mut outcome = ProbeOutcome::default();
+    // Generous send cap: chaos may eat both a strike's reply and a
+    // rejection several times over before one gets through intact.
+    while outcome.sends < 30 && !outcome.rejected {
+        outcome.sends += 1;
+        let id = format!("{}-poison-{}", args.tag, outcome.sends);
+        let line = format!(
+            "{{\"id\":{},\"op\":\"panic\",\"spec\":{poison_json}}}",
+            Value::from(id.as_str())
+        );
+        let status = Conn::open(&args.addr)
+            .and_then(|mut c| c.exchange(&line))
+            .and_then(|r| Value::parse(&r).ok())
+            .filter(|v| v.get("id").and_then(Value::as_str) == Some(id.as_str()))
+            .and_then(|v| v.get("status").and_then(Value::as_str).map(str::to_string));
+        match status.as_deref() {
+            Some("internal_error") => outcome.internal_errors += 1,
+            Some("rejected") => outcome.rejected = true,
+            _ => outcome.noise += 1,
+        }
+        if !outcome.rejected {
+            std::thread::sleep(backoff_delay(&mut rng, 1));
+        }
+    }
+    outcome
+}
+
+/// `chaos`'s second batch, concurrent with the quarantine probe, then the
+/// direct `health` verdict. Returns the batch size.
+fn chaos_phase(
+    args: &Args,
+    plan: &Plan,
+    poison: &str,
+    tally: &Tally,
+    report: &mut Vec<(&'static str, Value)>,
+    failures: &mut Vec<String>,
+) -> Result<usize, String> {
+    let count = (args.requests / 4).max(10);
+    let probe = std::thread::scope(|scope| {
+        let probe = scope.spawn(|| quarantine_probe(args, poison));
+        replay(args, "probed", &plan.pool, count, tally);
+        probe.join()
+    })
+    .map_err(|_| "quarantine probe panicked".to_string())?;
+    let health = query_result(args.direct(), "health")?;
+    let gauge = |name: &str| health.get(name).and_then(Value::as_i64);
+    if !probe.rejected {
+        failures.push("panicking spec was never quarantined".to_string());
+    } else if probe.sends < 3 {
+        failures.push(format!(
+            "quarantine after only {} send(s); it needs two strikes first",
+            probe.sends
+        ));
+    }
+    if probe.internal_errors > 2 {
+        failures.push(format!(
+            "{} internal_error replies for one spec: quarantine leak",
+            probe.internal_errors
+        ));
+    }
+    if gauge("workers_alive").is_none() || gauge("workers_alive") != gauge("workers_configured") {
+        failures.push(format!(
+            "{:?} of {:?} workers alive at the end",
+            gauge("workers_alive"),
+            gauge("workers_configured")
+        ));
+    }
+    if gauge("quarantined_specs").unwrap_or(0) < 1 {
+        failures.push("health reports no quarantined specs".to_string());
+    }
+    report.push((
+        "panic_probe",
+        json::object(vec![
+            ("sends", Value::from(probe.sends)),
+            ("internal_errors", Value::from(probe.internal_errors)),
+            ("noise", Value::from(probe.noise)),
+            ("rejected_seen", Value::Bool(probe.rejected)),
+        ]),
+    ));
+    report.push(("health", health));
+    Ok(count)
+}
+
+/// Fires `n` slow `sleep` requests down one connection back to back and
+/// returns how many were bounced `overloaded`.
 fn probe_overload(addr: &str, n: usize) -> Result<u64, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let read_half = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
+    let mut conn = Conn::open(addr).ok_or("overload probe: cannot connect")?;
     for i in 0..n {
-        stream
-            .write_all(format!("{{\"id\":\"probe-{i}\",\"op\":\"sleep\",\"millis\":25}}\n").as_bytes())
-            .map_err(|e| format!("probe write: {e}"))?;
+        conn.send(&format!(
+            "{{\"id\":\"probe-{i}\",\"op\":\"sleep\",\"millis\":25}}"
+        ))
+        .ok_or("overload probe: write failed")?;
     }
-    stream.flush().map_err(|e| format!("probe flush: {e}"))?;
-    let mut overloaded = 0u64;
-    let mut seen = 0usize;
-    for line in BufReader::new(read_half).lines() {
-        let line = line.map_err(|e| format!("probe read: {e}"))?;
-        let v = Value::parse(&line).map_err(|e| format!("probe parse: {e}"))?;
+    let mut overloaded = 0;
+    for _ in 0..n {
+        let reply = conn
+            .recv()
+            .ok_or_else(|| format!("overload probe: fewer than {n} replies"))?;
+        let v = Value::parse(&reply).map_err(|e| format!("overload probe: {e}"))?;
         if v.get("status").and_then(Value::as_str) == Some("overloaded") {
             overloaded += 1;
         }
-        seen += 1;
-        if seen == n {
-            break;
-        }
-    }
-    if seen != n {
-        return Err(format!("overload probe: sent {n} requests, got {seen} responses"));
     }
     Ok(overloaded)
-}
-
-/// Sends the `shutdown` op and waits for its `ok` ack, letting the
-/// daemon drain and flush obs artifacts.
-fn send_shutdown(addr: &str) -> Result<(), String> {
-    let response = send_and_read(addr, "{\"id\":\"loadgen-shutdown\",\"op\":\"shutdown\"}")
-        .ok_or_else(|| "shutdown got no response".to_string())?;
-    let v = Value::parse(&response).map_err(|e| format!("shutdown parse: {e}"))?;
-    match v.get("status").and_then(Value::as_str) {
-        Some("ok") => Ok(()),
-        other => Err(format!("shutdown not acknowledged: {other:?}")),
-    }
-}
-
-fn uint(v: u64) -> Value {
-    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
 // ---------------------------------------------------------------------------
 // Latency series
 // ---------------------------------------------------------------------------
 
-/// One `metrics` poll rendered as a series line. `None` when the server
-/// is unreachable or the response is malformed — the sampler just skips
-/// that tick rather than aborting the run.
+/// One `metrics` poll as a series line; `None` skips the tick.
 fn sample_metrics(addr: &str, started: Instant) -> Option<String> {
-    let response = send_and_read(addr, "{\"id\":\"loadgen-series\",\"op\":\"metrics\"}")?;
-    let v = Value::parse(&response).ok()?;
-    let result = v.get("result")?;
+    let result = query_result(addr, "metrics").ok()?;
+    let field = |name: &str, default: Value| result.get(name).cloned().unwrap_or(default);
     Some(
         json::object(vec![
             (
                 "t_ms",
                 Value::Int(i64::try_from(started.elapsed().as_millis()).unwrap_or(i64::MAX)),
             ),
-            (
-                "queue_depth",
-                result.get("queue_depth").cloned().unwrap_or(Value::Int(-1)),
-            ),
-            (
-                "window",
-                result
-                    .get("window")
-                    .cloned()
-                    .unwrap_or_else(|| json::object(vec![])),
-            ),
+            ("queue_depth", field("queue_depth", Value::Int(-1))),
+            ("window", field("window", json::object(vec![]))),
         ])
         .to_string(),
     )
 }
 
-/// Background sampler for `--latency-series`: polls the `metrics` op on
-/// an interval while the load runs, then writes the NDJSON timeline.
-struct SeriesSampler {
-    stop: Arc<AtomicBool>,
+/// `--latency-series`: polls `metrics` on a background thread while the
+/// replay runs, then writes the NDJSON timeline.
+struct Sampler {
+    stop: mpsc::Sender<()>,
     handle: std::thread::JoinHandle<Vec<String>>,
     path: String,
 }
 
-impl SeriesSampler {
-    /// Starts the sampler when `--latency-series` was given.
-    fn start(args: &Args) -> Option<Self> {
+impl Sampler {
+    fn start(args: &Args) -> Option<Sampler> {
         let path = args.latency_series.clone()?;
-        // The series describes the *server*: in chaos-soak runs, sample
-        // past the proxy so fault injection cannot garble the timeline.
-        let addr = args
-            .direct_addr
-            .clone()
-            .unwrap_or_else(|| args.addr.clone());
-        let interval = Duration::from_millis(args.series_interval_ms.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let addr = args.direct().to_string();
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
             let started = Instant::now();
             let mut lines = Vec::new();
             loop {
-                // Observe the flag *before* sampling so a stop request
-                // still gets one final sample covering the run's tail.
-                let done = stop_flag.load(Ordering::Relaxed);
-                if let Some(line) = sample_metrics(&addr, started) {
-                    lines.push(line);
-                }
-                if done {
+                lines.extend(sample_metrics(&addr, started));
+                if !matches!(
+                    stopped.recv_timeout(SERIES_INTERVAL),
+                    Err(RecvTimeoutError::Timeout)
+                ) {
+                    // One final sample covers the run's tail.
+                    lines.extend(sample_metrics(&addr, started));
                     return lines;
-                }
-                // Sleep in short slices so the final sample is prompt.
-                let mut slept = Duration::ZERO;
-                while slept < interval && !stop_flag.load(Ordering::Relaxed) {
-                    let step = (interval - slept).min(Duration::from_millis(10));
-                    std::thread::sleep(step);
-                    slept += step;
                 }
             }
         });
-        Some(Self { stop, handle, path })
+        Some(Sampler { stop, handle, path })
     }
 
-    /// Stops the sampler (after one final sample) and writes the series.
     fn finish(self) -> Result<(), String> {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         let lines = self
             .handle
             .join()
             .map_err(|_| "latency-series sampler panicked".to_string())?;
-        let mut text = lines.join("\n");
-        if !text.is_empty() {
-            text.push('\n');
-        }
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
         std::fs::write(&self.path, text).map_err(|e| format!("writing {}: {e}", self.path))?;
         eprintln!(
             "loadgen: {} latency sample(s) written to {}",
@@ -529,838 +793,260 @@ impl SeriesSampler {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos soak
+// The run
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct SoakTally {
-    accepted: AtomicU64,
-    lost: AtomicU64,
-    duplicated: AtomicU64,
-    /// Byte-corrupted-but-parseable responses the verifier *caught* (and
-    /// retried). Nonzero under garbage injection is the chaos working —
-    /// the gate is that none were ever *accepted*.
-    corruption_caught: AtomicU64,
-    retried_attempts: AtomicU64,
-}
-
-/// Sends `line` until the response carries a well-formed `trace_id`
-/// stamp and, after peeling it, is byte-identical to `want` — over fresh
-/// connections, within the retry budget. A missing or malformed stamp is
-/// itself treated as corruption: the server stamps every response, so a
-/// bare line can only be chaos damage. Returns attempts used.
-fn soak_request(
-    addr: &str,
-    line: &str,
-    want: &str,
-    id: &str,
-    args: &Args,
-    rng: &mut StdRng,
-    tally: &SoakTally,
-) -> Result<u32, ()> {
-    for attempt in 1..=args.retries.max(1) + 1 {
-        if attempt > 1 {
-            bump(&tally.retried_attempts);
-            std::thread::sleep(backoff_delay(rng, args.backoff_ms, attempt - 1));
-        }
-        if let Some(response) = send_and_read(addr, line) {
-            match split_trace(&response) {
-                Some((pure, tid)) if is_trace_id(&tid) && pure == want => {
-                    return Ok(attempt);
-                }
-                _ => {
-                    // Parsed with our id and status ok but the wrong
-                    // bytes? That is a corrupted response caught by
-                    // verification.
-                    if let Ok(v) = Value::parse(&response) {
-                        let id_matches = v.get("id").and_then(Value::as_str) == Some(id);
-                        if id_matches && v.get("status").and_then(Value::as_str) == Some("ok") {
-                            bump(&tally.corruption_caught);
-                        }
-                    }
-                }
-            }
-        }
+/// Seats the base, replays the pool (and `chaos`'s probed batch), runs
+/// the overload probe, and checks tally and counters. Returns the report.
+fn check(args: &Args, plan: &Plan) -> Result<Value, String> {
+    let direct = args.direct();
+    let before = stats_counters(direct)?;
+    let tally = Tally::default();
+    replay(args, "seat", std::slice::from_ref(&plan.seat), 1, &tally);
+    if load(&tally.accepted) == 0 {
+        return Err("the seat request never matched the local cold pipeline".to_string());
     }
-    Err(())
-}
-
-/// Replays `count` uniquely-identified healthy requests (split across
-/// `--connections` threads), accepting only byte-identical responses.
-fn soak_healthy_batch(
-    args: &Args,
-    phase: &str,
-    count: usize,
-    request_for: &(dyn Fn(&str) -> String + Sync),
-    expected_for: &(dyn Fn(&str) -> String + Sync),
-    tally: &SoakTally,
-    completed: &Mutex<HashSet<String>>,
-) {
-    let connections = args.connections.max(1);
-    std::thread::scope(|scope| {
-        for conn_index in 0..connections {
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(splitmix64_mix(
-                    args.seed ^ (0xC0A5 + conn_index as u64),
-                ));
-                let mut i = conn_index;
-                while i < count {
-                    let id = format!("{}-{phase}-{i}", args.soak_tag);
-                    let line = request_for(&id);
-                    let want = expected_for(&id);
-                    match soak_request(&args.addr, &line, &want, &id, args, &mut rng, tally) {
-                        Ok(_) => {
-                            bump(&tally.accepted);
-                            if !completed.lock().is_ok_and(|mut s| s.insert(id)) {
-                                bump(&tally.duplicated);
-                            }
-                        }
-                        Err(()) => bump(&tally.lost),
-                    }
-                    i += connections;
-                }
-            });
-        }
-    });
-}
-
-/// Drives the deliberately panicking spec until the server quarantines
-/// it. Each send is one potential strike; `rejected` needs two processed
-/// strikes, so it can never appear before the third send.
-struct ProbeOutcome {
-    sends: u32,
-    internal_errors: u32,
-    noise: u32,
-    rejected: bool,
-}
-
-fn quarantine_probe(args: &Args, poison_spec_json: &str, rng: &mut StdRng) -> ProbeOutcome {
-    let mut outcome = ProbeOutcome {
-        sends: 0,
-        internal_errors: 0,
-        noise: 0,
-        rejected: false,
-    };
-    // Generous send cap: chaos may eat both a strike's response and a
-    // rejection several times over before one gets through intact.
-    while outcome.sends < 30 && !outcome.rejected {
-        outcome.sends += 1;
-        let id = format!("{}-poison-{}", args.soak_tag, outcome.sends);
-        let line = format!(
-            "{{\"id\":{},\"op\":\"panic\",\"spec\":{poison_spec_json}}}",
-            Value::from(id.as_str())
-        );
-        let status = send_and_read(&args.addr, &line)
-            .and_then(|r| Value::parse(&r).ok().filter(|v| {
-                v.get("id").and_then(Value::as_str) == Some(id.as_str())
-            }))
-            .and_then(|v| v.get("status").and_then(Value::as_str).map(str::to_string));
-        match status.as_deref() {
-            Some("internal_error") => outcome.internal_errors += 1,
-            Some("rejected") => outcome.rejected = true,
-            _ => outcome.noise += 1,
-        }
-        if !outcome.rejected {
-            std::thread::sleep(backoff_delay(rng, args.backoff_ms, 1));
-        }
+    replay(args, "main", &plan.pool, args.requests, &tally);
+    let mut replayed = 1 + args.requests;
+    let mut extra = Vec::new();
+    let mut failures = Vec::new();
+    if let Some(poison) = &plan.poison {
+        replayed += chaos_phase(args, plan, poison, &tally, &mut extra, &mut failures)?;
     }
-    outcome
-}
-
-/// The full chaos soak: healthy traffic under fault injection, the
-/// quarantine probe concurrent with more healthy traffic, then a direct
-/// (un-proxied) health check. Returns the report and whether any gate
-/// failed.
-fn run_chaos_soak(
-    args: &Args,
-    spec: &SystemSpec,
-    graph: &CauseEffectGraph,
-    task: &str,
-) -> Result<(Value, bool), String> {
-    let sink = graph
-        .find_task(task)
-        .ok_or_else(|| format!("task {task:?} not in spec"))?;
-    let rt = response_times(graph).map_err(|e| format!("response times: {e}"))?;
-    let report = AnalysisEngine::new(graph, &rt)
-        .worst_case_disparity(sink, AnalysisConfig::default())
-        .map_err(|e| format!("direct analysis: {e}"))?;
-    let result = encode_disparity_result(graph, &report);
-    let spec_json = spec.to_json().to_string();
-    let task_json = Value::from(task).to_string();
-    let request_for = move |id: &str| {
-        format!(
-            "{{\"id\":{},\"op\":\"disparity\",\"task\":{task_json},\"spec\":{spec_json}}}",
-            Value::from(id)
-        )
-    };
-    let expected_for = move |id: &str| {
-        response_line(
-            &Value::from(id),
-            Status::Ok,
-            ResponseBody::Result(result.clone()),
-        )
-    };
-
-    // The poison spec: same shape, but salted by the soak tag (a tweaked
-    // first-task offset) so each run quarantines a fresh canonical hash.
-    let mut poison = spec.clone();
-    let tag_hash = args
-        .soak_tag
-        .bytes()
-        .fold(args.seed, |h, b| splitmix64_mix(h ^ u64::from(b)));
-    let first = poison
-        .tasks
-        .first_mut()
-        .ok_or_else(|| "spec has no tasks".to_string())?;
-    first.offset = SpecDuration::from_nanos(
-        first.offset.as_nanos() + i64::try_from(tag_hash % 1_000_000).unwrap_or(0) + 1,
-    );
-    let poison_json = poison.to_json().to_string();
-
-    let tally = SoakTally::default();
-    let completed = Mutex::new(HashSet::new());
-
-    // Phase 1: healthy traffic under chaos.
-    let phase1 = args.requests;
-    soak_healthy_batch(args, "p1", phase1, &request_for, &expected_for, &tally, &completed);
-
-    // Phase 2+3: the quarantine probe runs *while* more healthy traffic
-    // flows — a poisoned spec must not disturb anyone else's answers.
-    let phase3 = (args.requests / 4).max(10);
-    let probe = std::thread::scope(|scope| {
-        let probe_handle = scope.spawn(|| {
-            let mut rng = StdRng::seed_from_u64(splitmix64_mix(args.seed ^ 0x90150));
-            quarantine_probe(args, &poison_json, &mut rng)
-        });
-        soak_healthy_batch(args, "p3", phase3, &request_for, &expected_for, &tally, &completed);
-        probe_handle.join().unwrap_or(ProbeOutcome {
-            sends: 0,
-            internal_errors: 0,
-            noise: 0,
-            rejected: false,
-        })
-    });
-
-    // Phase 4: the verdict, asked directly (past the proxy).
-    let direct = args.direct_addr.as_deref().unwrap_or(&args.addr);
-    let health = server_query(direct, "health")?;
-
-    let accepted = load(&tally.accepted);
-    let lost = load(&tally.lost);
-    let duplicated = load(&tally.duplicated);
-    let expected_total = u64::try_from(phase1 + phase3).unwrap_or(u64::MAX);
-    let workers_configured = health
-        .get("workers_configured")
-        .and_then(Value::as_i64)
-        .unwrap_or(-1);
-    let workers_alive = health.get("workers_alive").and_then(Value::as_i64).unwrap_or(-2);
-    let quarantined_specs = health
-        .get("quarantined_specs")
-        .and_then(Value::as_i64)
-        .unwrap_or(0);
-
-    let mut failed = false;
-    let mut fail = |cond: bool, msg: &str| {
-        if cond {
-            eprintln!("loadgen: FAIL: {msg}");
-            failed = true;
+    let mut expect = plan.expect.clone();
+    if args.probe_overload > 0 {
+        let bounced = probe_overload(&args.addr, args.probe_overload)?;
+        if bounced == 0 {
+            failures.push("overload probe never saw `overloaded`".to_string());
         }
-    };
-    fail(lost > 0, &format!("{lost} response(s) lost (retry budget exhausted)"));
-    fail(duplicated > 0, &format!("{duplicated} duplicated response(s)"));
-    fail(
-        accepted != expected_total,
-        &format!("accepted {accepted} of {expected_total} healthy responses"),
-    );
-    fail(!probe.rejected, "panicking spec was never quarantined");
-    fail(
-        probe.rejected && probe.sends < 3,
-        &format!("quarantine after only {} attempt(s) — needs two strikes first", probe.sends),
-    );
-    fail(
-        probe.internal_errors > 2,
-        &format!("{} internal_error responses for one spec — quarantine leak", probe.internal_errors),
-    );
-    fail(
-        workers_alive != workers_configured,
-        &format!("{workers_alive} of {workers_configured} workers alive at end of soak"),
-    );
-    fail(quarantined_specs < 1, "health reports no quarantined specs");
-
-    let report = json::object(vec![
-        ("mode", Value::from("chaos-soak")),
-        ("addr", Value::from(args.addr.as_str())),
-        ("direct_addr", Value::from(direct)),
-        ("soak_tag", Value::from(args.soak_tag.as_str())),
-        ("seed", uint(args.seed)),
-        ("retries", Value::from(args.retries as usize)),
-        ("healthy_requests", uint(expected_total)),
-        ("accepted", uint(accepted)),
-        ("lost", uint(lost)),
-        ("duplicated", uint(duplicated)),
-        ("corruption_caught", uint(load(&tally.corruption_caught))),
-        ("retried_attempts", uint(load(&tally.retried_attempts))),
-        (
-            "panic_probe",
-            json::object(vec![
-                ("sends", uint(u64::from(probe.sends))),
-                ("internal_errors", uint(u64::from(probe.internal_errors))),
-                ("noise", uint(u64::from(probe.noise))),
-                ("rejected_seen", Value::Bool(probe.rejected)),
-            ]),
-        ),
-        ("health", health),
-        ("passed", Value::Bool(!failed)),
-    ]);
-    Ok((report, failed))
-}
-
-// ---------------------------------------------------------------------------
-// Edit replay
-// ---------------------------------------------------------------------------
-
-/// The expected `ok` response bytes for a disparity/patch answer on
-/// `spec`: the full cold pipeline, run locally.
-fn cold_answer(spec: &SystemSpec, task: &str) -> Result<Value, String> {
-    let graph = spec.build().map_err(|e| format!("building edited spec: {e}"))?;
-    let sink = graph
-        .find_task(task)
-        .ok_or_else(|| format!("task {task:?} not in edited spec"))?;
-    let rt = response_times(&graph).map_err(|e| format!("response times: {e}"))?;
-    let report = AnalysisEngine::new(&graph, &rt)
-        .worst_case_disparity(sink, AnalysisConfig::default())
-        .map_err(|e| format!("direct analysis: {e}"))?;
-    Ok(encode_disparity_result(&graph, &report))
-}
-
-/// Seeds the base spec into the server's cache, then replays patch
-/// requests (seeded random WCET edits against the base canonical hash),
-/// accepting only responses byte-identical to the local cold pipeline on
-/// the edited spec. Cycling through a small pool of distinct edits makes
-/// later iterations exercise the server's patch memo.
-fn run_edit_replay(
-    args: &Args,
-    spec: &SystemSpec,
-    task: &str,
-) -> Result<(Value, bool), String> {
-    let base = spec.canonical_hash();
-    let task_json = Value::from(task).to_string();
-    let tally = SoakTally::default();
-    let mut rng = StdRng::seed_from_u64(splitmix64_mix(args.seed ^ 0xED17));
-
-    // Warm request: the server must hold the base graph before any patch
-    // can rebase from it.
-    let warm_id = "edit-replay-warm";
-    let warm_line = format!(
-        "{{\"id\":{},\"op\":\"disparity\",\"task\":{task_json},\"spec\":{}}}",
-        Value::from(warm_id),
-        spec.to_json()
-    );
-    let warm_want = response_line(
-        &Value::from(warm_id),
-        Status::Ok,
-        ResponseBody::Result(cold_answer(spec, task)?),
-    );
-    soak_request(&args.addr, &warm_line, &warm_want, warm_id, args, &mut rng, &tally)
-        .map_err(|()| "edit-replay: warm request never matched the cold pipeline".to_string())?;
-
-    // A pool of distinct single-field WCET edits. Shrinking a WCET keeps
-    // every schedulability verdict intact, so each edit is admissible.
-    let candidates: Vec<&disparity_model::spec::TaskEntry> = spec
-        .tasks
-        .iter()
-        .filter(|t| t.wcet.as_nanos() > t.bcet.as_nanos() && t.wcet.as_nanos() > 1)
-        .collect();
-    if candidates.is_empty() {
-        return Err("edit-replay: no task has wcet > bcet to edit".to_string());
-    }
-    let distinct = args.requests.clamp(1, 8);
-    let mut pool = Vec::with_capacity(distinct);
-    for _ in 0..distinct {
-        let t = candidates[usize::try_from(rng.gen_range(0..candidates.len() as u64))
-            .unwrap_or(0)];
-        let lo = u64::try_from(t.bcet.as_nanos()).unwrap_or(0).max(1);
-        let hi = u64::try_from(t.wcet.as_nanos()).unwrap_or(1);
-        let wcet = SpecDuration::from_nanos(i64::try_from(rng.gen_range(lo..hi)).unwrap_or(1));
-        let edit = SpecEdit::SetWcet {
-            task: t.name.clone(),
-            wcet,
-        };
-        let mut edited = spec.clone();
-        apply_all(&mut edited, std::slice::from_ref(&edit))
-            .map_err(|(i, e)| format!("edit-replay: generated bad edit [{i}]: {e}"))?;
-        let answer = cold_answer(&edited, task)?;
-        pool.push((edit.to_json().to_string(), answer));
-    }
-
-    for i in 0..args.requests {
-        let (edit_json, answer) = &pool[i % distinct];
-        let id = format!("edit-replay-{i}");
-        let line = format!(
-            "{{\"id\":{},\"op\":\"patch\",\"base\":\"{base:016x}\",\"edits\":[{edit_json}],\"task\":{task_json}}}",
-            Value::from(id.as_str())
-        );
-        let want = response_line(
-            &Value::from(id.as_str()),
-            Status::Ok,
-            ResponseBody::Result(answer.clone()),
-        );
-        match soak_request(&args.addr, &line, &want, &id, args, &mut rng, &tally) {
-            Ok(_) => bump(&tally.accepted),
-            Err(()) => bump(&tally.lost),
-        }
-    }
-
-    let stats = server_query(&args.addr, "stats")?;
-    let counter = |name: &str| {
-        stats
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Value::as_i64)
-            .unwrap_or(0)
-    };
-    let patched = counter("patched");
-    let memo_hits = counter("patch_memo_hits");
-
-    let accepted = load(&tally.accepted);
-    let lost = load(&tally.lost);
-    let mut failed = false;
-    let mut fail = |cond: bool, msg: &str| {
-        if cond {
-            eprintln!("loadgen: FAIL: {msg}");
-            failed = true;
-        }
-    };
-    fail(lost > 0, &format!("{lost} patch response(s) never matched the cold pipeline"));
-    fail(
-        accepted != args.requests as u64,
-        &format!("accepted {accepted} of {} patch responses", args.requests),
-    );
-    fail(patched < 1, "server reports zero derived patch entries");
-    fail(
-        args.requests > distinct && memo_hits < 1,
-        "server reports zero patch memo hits despite repeated edits",
-    );
-
-    let report = json::object(vec![
-        ("mode", Value::from("edit-replay")),
-        ("addr", Value::from(args.addr.as_str())),
-        ("spec", Value::from(args.spec.as_str())),
-        ("task", Value::from(task)),
-        ("base", Value::from(format!("{base:016x}").as_str())),
-        ("seed", uint(args.seed)),
-        ("requests", Value::from(args.requests)),
-        ("distinct_edits", Value::from(distinct)),
-        ("accepted", uint(accepted)),
-        ("lost", uint(lost)),
-        ("retried_attempts", uint(load(&tally.retried_attempts))),
-        ("server_patched", Value::Int(patched)),
-        ("server_patch_memo_hits", Value::Int(memo_hits)),
-        ("passed", Value::Bool(!failed)),
-    ]);
-    Ok((report, failed))
-}
-
-// ---------------------------------------------------------------------------
-// Optimize replay
-// ---------------------------------------------------------------------------
-
-/// The expected `ok` result bytes for an `optimize` answer on `spec`: a
-/// local optimizer run through the same pure encoder the server uses.
-fn local_optimize_answer(spec: &SystemSpec, budget: usize, seed: u64) -> Result<Value, String> {
-    let base = AnalyzedSystem::analyze(spec, AnalysisConfig::default())
-        .map_err(|e| format!("optimize-replay: base analysis: {e}"))?;
-    let mut request = PlanRequest::with_budget(BufferBudget::slots(budget));
-    request.seed = seed;
-    let plan = optimize_analyzed(&base, &request, BackendChoice::Auto)
-        .map_err(|e| format!("optimize-replay: planning (budget {budget}): {e}"))?;
-    let mut opt_spec = spec.clone();
-    apply_all(&mut opt_spec, &plan.edits())
-        .map_err(|(i, e)| format!("optimize-replay: plan edit [{i}]: {e}"))?;
-    Ok(encode_optimize_result(&plan, opt_spec.canonical_hash(), None))
-}
-
-/// Seeds the base spec into the server's cache, then replays `optimize`
-/// requests sweeping a small pool of slot budgets against the base
-/// canonical hash, accepting only responses byte-identical to a local
-/// optimizer run. Each budget recurs across the replay, so the run also
-/// proves response bytes are stable across repeated identical requests.
-fn run_optimize_replay(
-    args: &Args,
-    spec: &SystemSpec,
-    task: &str,
-) -> Result<(Value, bool), String> {
-    let base = spec.canonical_hash();
-    let tally = SoakTally::default();
-    let mut rng = StdRng::seed_from_u64(splitmix64_mix(args.seed ^ 0x0B7A));
-
-    // Warm request: the server must hold the base graph before an
-    // optimize can address it by hash.
-    let warm_id = "optimize-replay-warm";
-    let warm_line = format!(
-        "{{\"id\":{},\"op\":\"disparity\",\"task\":{},\"spec\":{}}}",
-        Value::from(warm_id),
-        Value::from(task),
-        spec.to_json()
-    );
-    let warm_want = response_line(
-        &Value::from(warm_id),
-        Status::Ok,
-        ResponseBody::Result(cold_answer(spec, task)?),
-    );
-    soak_request(&args.addr, &warm_line, &warm_want, warm_id, args, &mut rng, &tally)
-        .map_err(|()| "optimize-replay: warm request never matched the cold pipeline".to_string())?;
-
-    // A small budget sweep; precompute each budget's expected bytes once.
-    let distinct = args.requests.clamp(1, 5);
-    let mut pool = Vec::with_capacity(distinct);
-    for budget in 0..distinct {
-        pool.push((budget, local_optimize_answer(spec, budget, args.seed)?));
-    }
-
-    for i in 0..args.requests {
-        let (budget, answer) = &pool[i % distinct];
-        let id = format!("optimize-replay-{i}");
-        let line = format!(
-            "{{\"id\":{},\"op\":\"optimize\",\"base\":\"{base:016x}\",\"budget_slots\":{budget},\"seed\":{}}}",
-            Value::from(id.as_str()),
-            args.seed
-        );
-        let want = response_line(
-            &Value::from(id.as_str()),
-            Status::Ok,
-            ResponseBody::Result(answer.clone()),
-        );
-        match soak_request(&args.addr, &line, &want, &id, args, &mut rng, &tally) {
-            Ok(_) => bump(&tally.accepted),
-            Err(()) => bump(&tally.lost),
-        }
-    }
-
-    let stats = server_query(&args.addr, "stats")?;
-    let counter = |name: &str| {
-        stats
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Value::as_i64)
-            .unwrap_or(0)
-    };
-    let optimized = counter("optimized");
-    let delta_scored = counter("opt_delta_scored");
-    let cold_scored = counter("opt_cold_scored");
-
-    let accepted = load(&tally.accepted);
-    let lost = load(&tally.lost);
-    let mut failed = false;
-    let mut fail = |cond: bool, msg: &str| {
-        if cond {
-            eprintln!("loadgen: FAIL: {msg}");
-            failed = true;
-        }
-    };
-    fail(
-        lost > 0,
-        &format!("{lost} optimize response(s) never matched the local optimizer"),
-    );
-    fail(
-        accepted != args.requests as u64,
-        &format!("accepted {accepted} of {} optimize responses", args.requests),
-    );
-    fail(
-        optimized < args.requests as i64,
-        &format!("server reports {optimized} optimized plans for {} requests", args.requests),
-    );
-    fail(
-        distinct > 1 && delta_scored + cold_scored < 1,
-        "server reports zero scored search states despite non-zero budgets",
-    );
-
-    let report = json::object(vec![
-        ("mode", Value::from("optimize-replay")),
-        ("addr", Value::from(args.addr.as_str())),
-        ("spec", Value::from(args.spec.as_str())),
-        ("base", Value::from(format!("{base:016x}").as_str())),
-        ("seed", uint(args.seed)),
-        ("requests", Value::from(args.requests)),
-        ("distinct_budgets", Value::from(distinct)),
-        ("accepted", uint(accepted)),
-        ("lost", uint(lost)),
-        ("retried_attempts", uint(load(&tally.retried_attempts))),
-        ("server_optimized", Value::Int(optimized)),
-        ("server_opt_delta_scored", Value::Int(delta_scored)),
-        ("server_opt_cold_scored", Value::Int(cold_scored)),
-        ("passed", Value::Bool(!failed)),
-    ]);
-    Ok((report, failed))
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("loadgen: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Build the request from the spec file: parse, build the graph, and
-    // aim at the requested task (default: the first sink).
-    let text = match std::fs::read_to_string(&args.spec) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("loadgen: reading {}: {e}", args.spec);
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match SystemSpec::from_json_str(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("loadgen: parsing {}: {e}", args.spec);
-            return ExitCode::FAILURE;
-        }
-    };
-    let graph = match spec.build() {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("loadgen: building {}: {e}", args.spec);
-            return ExitCode::FAILURE;
-        }
-    };
-    let task = match &args.task {
-        Some(name) => name.clone(),
-        None => match graph.sinks().first() {
-            Some(&sink) => graph.task(sink).name().to_string(),
-            None => {
-                eprintln!("loadgen: {} has no sink task", args.spec);
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
-    let sampler = SeriesSampler::start(&args);
-
-    if args.chaos_soak {
-        let (report, failed) = match run_chaos_soak(&args, &spec, &graph, &task) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(sampler) = sampler {
-            if let Err(msg) = sampler.finish() {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        println!("{}", report.to_pretty());
-        if let Some(path) = &args.out {
-            if let Err(e) = std::fs::write(path, format!("{}\n", report.to_pretty())) {
-                eprintln!("loadgen: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if args.shutdown {
-            let direct = args.direct_addr.as_deref().unwrap_or(&args.addr);
-            if let Err(msg) = send_shutdown(direct) {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS };
-    }
-
-    if args.edit_replay || args.optimize_replay {
-        let run = if args.optimize_replay {
-            run_optimize_replay(&args, &spec, &task)
-        } else {
-            run_edit_replay(&args, &spec, &task)
-        };
-        let (report, failed) = match run {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(sampler) = sampler {
-            if let Err(msg) = sampler.finish() {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        println!("{}", report.to_pretty());
-        if let Some(path) = &args.out {
-            if let Err(e) = std::fs::write(path, format!("{}\n", report.to_pretty())) {
-                eprintln!("loadgen: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if args.shutdown {
-            if let Err(msg) = send_shutdown(&args.addr) {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS };
-    }
-
-    let request_line = format!(
-        "{{\"id\":\"load\",\"op\":\"disparity\",\"task\":{},\"spec\":{}}}",
-        Value::from(task.as_str()),
-        spec.to_json()
-    );
-
-    let (tally, hist, elapsed) = match run_load(&args, &request_line) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("loadgen: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(sampler) = sampler {
-        if let Err(msg) = sampler.finish() {
-            eprintln!("loadgen: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let probe = if args.probe_overload > 0 {
-        match probe_overload(&args.addr, args.probe_overload) {
-            Ok(n) => Some(n),
-            Err(msg) => {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
-    let stats = match server_query(&args.addr, "stats") {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("loadgen: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if args.dump {
-        match server_query(&args.addr, "dump") {
-            Ok(result) => eprintln!("loadgen: dump: {result}"),
-            Err(msg) => {
-                eprintln!("loadgen: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if args.shutdown {
-        if let Err(msg) = send_shutdown(&args.addr) {
-            eprintln!("loadgen: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let elapsed_ms = elapsed.as_millis();
-    let ok = load(&tally.ok);
-    let throughput = if elapsed_ms == 0 {
-        0.0
-    } else {
-        #[allow(clippy::cast_precision_loss)]
-        let rps = ok as f64 * 1000.0 / elapsed_ms as f64;
-        rps
-    };
-    let s = hist.summary();
-    let mut report_members = vec![
-        ("addr", Value::from(args.addr.as_str())),
-        ("spec", Value::from(args.spec.as_str())),
-        ("task", Value::from(task.as_str())),
-        ("requests", Value::from(args.requests)),
-        ("connections", Value::from(args.connections)),
-        ("ok", uint(ok)),
-        ("overloaded", uint(load(&tally.overloaded))),
-        ("timeouts", uint(load(&tally.timeouts))),
-        ("errors", uint(load(&tally.errors))),
-        ("protocol_errors", uint(load(&tally.protocol_errors))),
-        ("retried", uint(load(&tally.retried))),
-        (
-            "elapsed_ms",
-            Value::Int(i64::try_from(elapsed_ms).unwrap_or(i64::MAX)),
-        ),
-        ("throughput_rps", Value::Float(throughput)),
-        (
-            "latency_us",
-            json::object(vec![
-                ("count", uint(s.count)),
-                ("p50", Value::Int(s.p50)),
-                ("p95", Value::Int(s.p95)),
-                ("p99", Value::Int(s.p99)),
-                ("max", Value::Int(s.max)),
-            ]),
-        ),
-        ("server_stats", stats.clone()),
-    ];
-    if let Some(overloaded) = probe {
-        report_members.push((
+        expect.push((&["overloaded"], bounced));
+        extra.push((
             "overload_probe",
             json::object(vec![
                 ("sent", Value::from(args.probe_overload)),
-                ("overloaded", uint(overloaded)),
+                ("overloaded", uint(bounced)),
             ]),
         ));
     }
-    let report = json::object(report_members);
-    println!("{}", report.to_pretty());
+
+    let after = stats_counters(direct)?;
+    let mut moved = Vec::new();
+    for (names, min) in expect {
+        let mut total = 0;
+        for &name in names {
+            let delta = counter(&after, name).saturating_sub(counter(&before, name));
+            moved.push((name, uint(delta)));
+            total += delta;
+        }
+        if total < min {
+            failures.push(format!(
+                "server counter {} moved by {total}, expected at least {min}",
+                names.join("+")
+            ));
+        }
+    }
+    let [accepted, lost, duplicated, caught] = [
+        &tally.accepted,
+        &tally.lost,
+        &tally.duplicated,
+        &tally.corruption_caught,
+    ]
+    .map(load);
+    if lost > 0 {
+        failures.push(format!(
+            "{lost} request(s) never got a reply matching the oracle"
+        ));
+    }
+    if duplicated > 0 {
+        failures.push(format!("{duplicated} duplicated reply(s)"));
+    }
+    if accepted != replayed as u64 {
+        failures.push(format!("accepted {accepted} of {replayed} replies"));
+    }
+    if args.mode != Mode::Chaos && caught > 0 {
+        failures.push(format!(
+            "{caught} corrupt reply(s) with no proxy in the path"
+        ));
+    }
+    for f in &failures {
+        eprintln!("loadgen: FAIL: {f}");
+    }
+
+    let mut report = vec![
+        ("mode", Value::from(args.mode.name())),
+        ("addr", Value::from(args.addr.as_str())),
+        ("spec", Value::from(args.spec.as_str())),
+        ("task", Value::from(plan.task.as_str())),
+        ("seed", uint(args.seed)),
+        ("connections", Value::from(args.connections)),
+        ("retries", Value::from(args.retries)),
+        ("distinct", Value::from(plan.pool.len())),
+        ("replayed", Value::from(replayed)),
+        ("accepted", uint(accepted)),
+        ("lost", uint(lost)),
+        ("duplicated", uint(duplicated)),
+        ("corruption_caught", uint(caught)),
+        ("retried_attempts", uint(load(&tally.retried))),
+        ("counters", json::object(moved)),
+    ];
+    report.extend(extra);
+    report.push((
+        "failures",
+        Value::Array(failures.iter().map(|f| Value::from(f.as_str())).collect()),
+    ));
+    report.push(("passed", Value::Bool(failures.is_empty())));
+    Ok(json::object(report))
+}
+
+/// The whole command: plan, replay and check, report, then the
+/// `--dump` and `--shutdown` epilogue. Returns whether the run passed.
+fn run(args: &Args) -> Result<bool, String> {
+    let plan = plan(args)?;
+    let sampler = Sampler::start(args);
+    let report = check(args, &plan);
+    if let Some(sampler) = sampler {
+        sampler.finish()?;
+    }
+    let report = report?;
+    let text = report.to_pretty();
+    print!("{text}");
     if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", report.to_pretty())) {
-            eprintln!("loadgen: writing {path}: {e}");
-            return ExitCode::FAILURE;
+        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    if args.dump {
+        eprintln!("loadgen: dump: {}", query_result(args.direct(), "dump")?);
+    }
+    if args.shutdown {
+        let ack = query(args.direct(), "shutdown")?;
+        if ack.get("status").and_then(Value::as_str) != Some("ok") {
+            return Err(format!("shutdown not acknowledged: {ack}"));
+        }
+    }
+    Ok(report.get("passed") == Some(&Value::Bool(true)))
+}
+
+fn main() -> ExitCode {
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(msg) => {
+            eprintln!("loadgen: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use disparity_service::server::{serve_with, ServeOptions, ServerHandle};
+    use disparity_service::service::{Service, ServiceConfig};
+
+    use super::*;
+
+    fn server() -> ServerHandle {
+        let service = Service::start(ServiceConfig::default());
+        serve_with("127.0.0.1:0", service, ServeOptions::default()).expect("bind loopback")
+    }
+
+    fn args(handle: &ServerHandle, mode: Mode, spec: &str) -> Args {
+        Args {
+            addr: handle.addr().to_string(),
+            mode,
+            spec: format!("{}/../../specs/{spec}", env!("CARGO_MANIFEST_DIR")),
+            requests: 12,
+            connections: 3,
+            ..Args::default()
         }
     }
 
-    // Gate the exit code on the contract CI asserts.
-    let mut failed = false;
-    if load(&tally.protocol_errors) > 0 {
-        eprintln!("loadgen: FAIL: protocol errors observed");
-        failed = true;
+    fn passes(mode: Mode, spec: &str) {
+        let handle = server();
+        let args = args(&handle, mode, spec);
+        let report = check(&args, &plan(&args).expect("plan")).expect("run");
+        handle.shutdown();
+        assert_eq!(
+            report.get("passed"),
+            Some(&Value::Bool(true)),
+            "{}",
+            report.to_pretty()
+        );
+        assert_eq!(report.get("accepted"), report.get("replayed"));
     }
-    if ok == 0 {
-        eprintln!("loadgen: FAIL: zero successful requests");
-        failed = true;
+
+    #[test]
+    fn disparity_mode_passes_against_an_in_process_server() {
+        passes(Mode::Disparity, "waters_clean.json");
     }
-    if args.require_cache_hit {
-        let hits = stats
-            .get("counters")
-            .and_then(|c| c.get("cache_hits"))
-            .and_then(Value::as_i64)
-            .unwrap_or(0);
-        if hits == 0 {
-            eprintln!("loadgen: FAIL: --require-cache-hit but server reports zero cache hits");
-            failed = true;
+
+    #[test]
+    fn patch_mode_passes_against_an_in_process_server() {
+        passes(Mode::Patch, "waters_clean.json");
+    }
+
+    #[test]
+    fn optimize_mode_passes_against_an_in_process_server() {
+        // perception.json has useful buffer candidates; the WATERS spec's
+        // plans are all no-ops and score no search states.
+        passes(Mode::Optimize, "perception.json");
+    }
+
+    #[test]
+    fn chaos_mode_passes_against_an_in_process_server() {
+        passes(Mode::Chaos, "waters_clean.json");
+    }
+
+    #[test]
+    fn a_reply_one_byte_off_the_oracle_is_never_accepted() {
+        let handle = server();
+        let mut args = args(&handle, Mode::Disparity, "waters_clean.json");
+        args.requests = 4;
+        let mut plan = plan(&args).expect("plan");
+        let result = &mut plan.pool[0].result;
+        let at = result.rfind(|c: char| c.is_ascii_digit()).expect("a digit");
+        let digit = (result.as_bytes()[at] - b'0' + 1) % 10;
+        result.replace_range(at..=at, &digit.to_string());
+        let report = check(&args, &plan).expect("run");
+        handle.shutdown();
+        let int = |name: &str| report.get(name).and_then(Value::as_i64);
+        assert_eq!(int("accepted"), Some(1), "only the untouched seat matches");
+        assert_eq!(int("lost"), Some(4));
+        assert_eq!(int("corruption_caught"), Some(8), "every attempt is caught");
+        assert_eq!(report.get("passed"), Some(&Value::Bool(false)));
+    }
+
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
         }
     }
-    if let Some(overloaded) = probe {
-        if overloaded == 0 {
-            eprintln!("loadgen: FAIL: overload probe never saw `overloaded`");
-            failed = true;
+
+    #[test]
+    fn each_request_line_is_one_write_including_its_newline() {
+        let mut out = Writes::default();
+        for line in ["{\"id\":1,\"op\":\"ping\"}", "{\"id\":22,\"op\":\"stats\"}"] {
+            send_line(&mut out, line).unwrap();
         }
-        let reported = stats
-            .get("counters")
-            .and_then(|c| c.get("overloaded"))
-            .and_then(Value::as_i64)
-            .unwrap_or(0);
-        // The server counted the bounces *before* the probe's stats query.
-        if u64::try_from(reported).unwrap_or(0) < overloaded {
-            eprintln!(
-                "loadgen: FAIL: server reports {reported} overloads, probe saw {overloaded}"
-            );
-            failed = true;
+        assert_eq!(out.0.len(), 2, "one write per request");
+        assert_eq!(out.0[1], b"{\"id\":22,\"op\":\"stats\"}\n");
+        for w in &out.0 {
+            assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1);
+            assert_eq!(w.last(), Some(&b'\n'));
         }
     }
-    if failed {
-        return ExitCode::FAILURE;
+
+    #[test]
+    fn client_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = Conn::open(&listener.local_addr().unwrap().to_string()).unwrap();
+        assert!(conn.stream.nodelay().unwrap(), "TCP_NODELAY must be set");
     }
-    ExitCode::SUCCESS
 }

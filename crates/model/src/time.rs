@@ -91,6 +91,16 @@ impl Duration {
         Duration(millis * 1_000_000)
     }
 
+    /// [`Duration::from_millis`], `None` when the nanosecond count
+    /// overflows `i64`.
+    #[must_use]
+    pub const fn checked_from_millis(millis: i64) -> Option<Self> {
+        match millis.checked_mul(1_000_000) {
+            Some(nanos) => Some(Duration(nanos)),
+            None => None,
+        }
+    }
+
     /// Creates a span from a signed second count.
     #[must_use]
     pub const fn from_secs(secs: i64) -> Self {
@@ -571,5 +581,12 @@ mod tests {
             Duration::from_nanos(2).checked_mul(3),
             Some(Duration::from_nanos(6))
         );
+        assert_eq!(
+            Duration::checked_from_millis(250),
+            Some(Duration::from_millis(250))
+        );
+        let first_overflow = i64::MAX / 1_000_000 + 1;
+        assert_eq!(Duration::checked_from_millis(first_overflow), None);
+        assert_eq!(Duration::checked_from_millis(10_000_000_000_000), None);
     }
 }

@@ -380,6 +380,20 @@ fn u64_field(obj: &Value, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// `sim_horizon_ms`, refused when the horizon does not fit the
+/// simulator's `i64` nanosecond clock (it would wrap negative).
+fn horizon_ms_field(obj: &Value) -> Result<Option<u64>, String> {
+    let Some(ms) = u64_field(obj, "sim_horizon_ms")? else {
+        return Ok(None);
+    };
+    let max = i64::MAX / 1_000_000;
+    i64::try_from(ms)
+        .ok()
+        .and_then(Duration::checked_from_millis)
+        .map(|_| Some(ms))
+        .ok_or_else(|| format!("\"sim_horizon_ms\" must be at most {max}, got {ms}"))
+}
+
 fn spec_field(obj: &Value, id: &Value) -> Result<SystemSpec, ProtoError> {
     let spec = obj
         .get("spec")
@@ -567,7 +581,7 @@ impl Request {
                         .map_err(|m| ProtoError::new(&id, m))?,
                     chain_limit: usize_field(value, "chain_limit", DEFAULT_CHAIN_LIMIT)
                         .map_err(|m| ProtoError::new(&id, m))?,
-                    sim_horizon_ms: u64_field(value, "sim_horizon_ms")
+                    sim_horizon_ms: horizon_ms_field(value)
                         .map_err(|m| ProtoError::new(&id, m))?,
                 }
             }
@@ -930,6 +944,27 @@ mod tests {
         let bad_backend = r#"{"id":1,"op":"optimize","base":"ff","budget_slots":0,"backend":"genetic"}"#;
         let err = Request::parse(bad_backend).unwrap_err();
         assert!(err.to_string().contains("backend"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_sim_horizon_names_the_field() {
+        // 1e13 ms is 1e19 ns: past i64, so an unchecked conversion wraps
+        // to a negative horizon the simulator then rejects.
+        let line = r#"{"id":1,"op":"optimize","base":"ff","budget_slots":1,"sim_horizon_ms":10000000000000}"#;
+        let err = Request::parse(line).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("sim_horizon_ms"), "{msg}");
+        assert!(!msg.contains("must be positive"), "{msg}");
+        assert_eq!(err.id, Value::Int(1));
+
+        let max = i64::MAX / 1_000_000;
+        let line = |ms: i64| {
+            format!(
+                r#"{{"id":1,"op":"optimize","base":"ff","budget_slots":1,"sim_horizon_ms":{ms}}}"#
+            )
+        };
+        assert!(Request::parse(&line(max)).is_ok(), "largest horizon parses");
+        assert!(Request::parse(&line(max + 1)).is_err());
     }
 
     #[test]

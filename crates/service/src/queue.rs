@@ -100,7 +100,9 @@ impl<T> BoundedQueue<T> {
         self.lock().closed
     }
 
-    /// Non-blocking push: the admission-control path.
+    /// Non-blocking push: the admission-control path. `on_admit` runs
+    /// once the item is admitted but before any consumer can pop it, so
+    /// whatever it records precedes everything done with the item.
     ///
     /// # Errors
     ///
@@ -108,7 +110,7 @@ impl<T> BoundedQueue<T> {
     /// [`close`](Self::close). The item rides back in the error-free way
     /// (`Err` drops nothing the caller cannot reconstruct) — callers keep
     /// ownership by value of the rejected item.
-    pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
+    pub fn try_push(&self, item: T, on_admit: impl FnOnce()) -> Result<(), (T, PushError)> {
         let mut s = self.lock();
         if s.closed {
             return Err((item, PushError::Closed));
@@ -116,6 +118,7 @@ impl<T> BoundedQueue<T> {
         if s.items.len() >= self.capacity {
             return Err((item, PushError::Full));
         }
+        on_admit();
         s.items.push_back(item);
         drop(s);
         self.not_empty.notify_one();
@@ -123,18 +126,19 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Blocking push: waits for space (batch mode wants backpressure, not
-    /// drops).
+    /// drops). `on_admit` runs as in [`try_push`](Self::try_push).
     ///
     /// # Errors
     ///
     /// [`PushError::Closed`] when the queue closes before space frees up.
-    pub fn push_blocking(&self, item: T) -> Result<(), (T, PushError)> {
+    pub fn push_blocking(&self, item: T, on_admit: impl FnOnce()) -> Result<(), (T, PushError)> {
         let mut s = self.lock();
         loop {
             if s.closed {
                 return Err((item, PushError::Closed));
             }
             if s.items.len() < self.capacity {
+                on_admit();
                 s.items.push_back(item);
                 drop(s);
                 self.not_empty.notify_one();
@@ -243,12 +247,12 @@ mod tests {
     #[test]
     fn try_push_enforces_capacity() {
         let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err((3, PushError::Full)));
+        q.try_push(1, || {}).unwrap();
+        q.try_push(2, || {}).unwrap();
+        assert_eq!(q.try_push(3, || {}), Err((3, PushError::Full)));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1));
-        q.try_push(3).unwrap();
+        q.try_push(3, || {}).unwrap();
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
     }
@@ -256,10 +260,10 @@ mod tests {
     #[test]
     fn close_drains_then_stops() {
         let q = BoundedQueue::new(4);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
+        q.try_push("a", || {}).unwrap();
+        q.try_push("b", || {}).unwrap();
         q.close();
-        assert_eq!(q.try_push("c"), Err(("c", PushError::Closed)));
+        assert_eq!(q.try_push("c", || {}), Err(("c", PushError::Closed)));
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(q.pop(), None);
@@ -285,7 +289,7 @@ mod tests {
                 })
                 .collect();
             for i in 0..n_items {
-                q.push_blocking(i).unwrap();
+                q.push_blocking(i, || {}).unwrap();
             }
             q.close();
             poppers
@@ -301,10 +305,10 @@ mod tests {
     #[test]
     fn push_blocking_wakes_on_close() {
         let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0).unwrap();
+        q.try_push(0, || {}).unwrap();
         std::thread::scope(|scope| {
             let q2 = Arc::clone(&q);
-            let blocked = scope.spawn(move || q2.push_blocking(1));
+            let blocked = scope.spawn(move || q2.push_blocking(1, || {}));
             // Give the pusher a moment to block, then close underneath it.
             std::thread::sleep(std::time::Duration::from_millis(20));
             q.close();

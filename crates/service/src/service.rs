@@ -415,11 +415,11 @@ impl Service {
             accepted: Instant::now(),
             reply: reply.clone(),
         };
-        let admitted = match self.queue.try_push(job) {
-            Ok(()) => {
-                flight::record(EventKind::Admit, 0);
-                true
-            }
+        // Admit is recorded before a worker can dequeue the job, so a
+        // panic postmortem taken on the worker always holds it.
+        let admit = || flight::record(EventKind::Admit, 0);
+        let admitted = match self.queue.try_push(job, admit) {
+            Ok(()) => true,
             Err((job, reason)) => {
                 self.refuse(job, reason);
                 false
@@ -449,11 +449,9 @@ impl Service {
             accepted: Instant::now(),
             reply: reply.clone(),
         };
-        let admitted = match self.queue.push_blocking(job) {
-            Ok(()) => {
-                flight::record(EventKind::Admit, 0);
-                true
-            }
+        let admit = || flight::record(EventKind::Admit, 0);
+        let admitted = match self.queue.push_blocking(job, admit) {
+            Ok(()) => true,
             Err((job, reason)) => {
                 self.refuse(job, reason);
                 false

@@ -47,13 +47,13 @@ fn queue_delivers_every_item_exactly_once_in_producer_order() {
         let p1 = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
-                q.push_blocking(10).unwrap();
-                q.push_blocking(11).unwrap();
+                q.push_blocking(10, || {}).unwrap();
+                q.push_blocking(11, || {}).unwrap();
             })
         };
         let p2 = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.push_blocking(20).unwrap())
+            thread::spawn(move || q.push_blocking(20, || {}).unwrap())
         };
         // The root is the consumer: three accepted items, three pops.
         let mut got = Vec::new();
@@ -87,8 +87,8 @@ fn queue_delivers_every_item_exactly_once_in_producer_order() {
 fn queue_close_drains_every_accepted_item() {
     let out = model::check(cfg(), || {
         let q = Arc::new(BoundedQueue::new(2));
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        q.try_push(1, || {}).unwrap();
+        q.try_push(2, || {}).unwrap();
         let consumer = {
             let q = Arc::clone(&q);
             thread::spawn(move || {
@@ -125,13 +125,13 @@ fn queue_random_schedules_stay_clean_beyond_the_exhaustive_budget() {
             let p1 = {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
-                    q.push_blocking(10).unwrap();
-                    q.push_blocking(11).unwrap();
+                    q.push_blocking(10, || {}).unwrap();
+                    q.push_blocking(11, || {}).unwrap();
                 })
             };
             let p2 = {
                 let q = Arc::clone(&q);
-                thread::spawn(move || q.push_blocking(20).unwrap())
+                thread::spawn(move || q.push_blocking(20, || {}).unwrap())
             };
             let mut got = Vec::new();
             for _ in 0..3 {
@@ -155,10 +155,10 @@ fn mutant_pop_without_permit_release_is_caught() {
         cfg(),
         || {
             let q = Arc::new(BoundedQueue::new(1));
-            q.try_push(1).unwrap();
+            q.try_push(1, || {}).unwrap();
             let producer = {
                 let q = Arc::clone(&q);
-                thread::spawn(move || q.push_blocking(2).unwrap())
+                thread::spawn(move || q.push_blocking(2, || {}).unwrap())
             };
             // Mutant pop frees the slot but never releases the permit: a
             // producer parked on the full queue sleeps forever.

@@ -24,6 +24,7 @@ use disparity_rng::rngs::StdRng;
 use disparity_service::proto::{
     encode_optimize_result, response_line, Request, ResponseBody, Status,
 };
+use disparity_service::server::run_batch;
 use disparity_service::service::{Service, ServiceConfig};
 use disparity_workload::funnel::{schedulable_funnel_system, FunnelConfig};
 
@@ -259,5 +260,25 @@ fn sim_validation_block_reports_observed_disparity_within_bounds() {
             assert!(within, "observed disparity within certified bound: {c}");
         }
     }
+    service.shutdown();
+}
+
+#[test]
+fn out_of_range_sim_horizon_is_refused_naming_the_field() {
+    // 1e13 ms does not fit the simulator's i64 nanosecond clock: an
+    // unchecked conversion wraps it to a negative horizon. Driven through
+    // the `serve --stdin` batch path, parse included.
+    let service = Service::start(ServiceConfig::default());
+    let spec = SystemSpec::from_graph(&seeded_workload(7));
+    let line = format!(
+        "{{\"id\":1,\"op\":\"optimize\",\"budget_slots\":1,\"sim_horizon_ms\":10000000000000,\"spec\":{}}}\n",
+        spec.to_json()
+    );
+    let mut out = Vec::new();
+    run_batch(&service, &mut line.as_bytes(), &mut out).expect("batch I/O");
+    let reply = String::from_utf8(out).expect("utf-8 reply");
+    assert!(reply.contains("\"status\":\"error\""), "{reply}");
+    assert!(reply.contains("sim_horizon_ms"), "{reply}");
+    assert!(!reply.contains("must be positive"), "{reply}");
     service.shutdown();
 }

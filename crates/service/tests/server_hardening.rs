@@ -163,8 +163,13 @@ fn vanishing_clients_leak_no_queue_capacity() {
     stream
         .write_all(b"{\"id\":10,\"op\":\"sleep\",\"millis\":1}\n{\"id\":11,\"op\":\"sleep\",\"millis\":1}\n")
         .expect("write");
+    // One reader for both replies: a second `BufReader` would miss a
+    // reply the first one had already buffered, and block forever.
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     for _ in 0..2 {
-        let v = parsed(&read_line(&mut stream));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        let v = parsed(line.trim_end());
         assert_eq!(
             v.get("status").and_then(Value::as_str),
             Some("ok"),

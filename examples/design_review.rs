@@ -1,17 +1,17 @@
 //! A full design review of a fusion system using every tool in the box:
 //! rate-mismatch lints, WCET slack, disparity bounds, offset tuning, and
-//! bound-vs-observation verification.
+//! the soundness sentinel's bound-vs-observation check.
 //!
 //! Run with: `cargo run --example design_review`
 
 use time_disparity::core::prelude::*;
+use time_disparity::core::sentinel::{check_run, ChainEvidence, RunEvidence, TaskEvidence};
 use time_disparity::model::lints::lint_graph;
 use time_disparity::model::metrics::profile;
 use time_disparity::model::prelude::*;
 use time_disparity::offset_tuning::{tune_offsets, OffsetTuningConfig};
 use time_disparity::sched::prelude::*;
 use time_disparity::sim::prelude::*;
-use time_disparity::verify::verify_run;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ms = Duration::from_millis;
@@ -102,8 +102,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     sim.monitor_chains(chains.iter().cloned());
     let outcome = sim.run()?;
-    let verification = verify_run(&tuned.graph, &chains, &outcome.metrics)?;
-    print!("{verification}");
-    assert!(verification.all_passed());
+    let m = &outcome.metrics;
+    let evidence = RunEvidence {
+        graph: &tuned.graph,
+        seed: SimConfig::default().seed,
+        fault_plan: format!("{:?}", FaultPlan::none()),
+        model_preserving: true,
+        faults_fired: outcome.faults.any_model_violation(),
+        chains: chains
+            .iter()
+            .enumerate()
+            .map(|(i, chain)| ChainEvidence {
+                chain: chain.clone(),
+                min_backward: m.chain(i).min_backward,
+                max_backward: m.chain(i).max_backward,
+                samples: m.chain(i).samples,
+            })
+            .collect(),
+        tasks: tuned
+            .graph
+            .tasks()
+            .iter()
+            .map(|t| TaskEvidence {
+                task: t.id(),
+                max_disparity: m.max_disparity(t.id()),
+                max_response: t.ecu().map(|_| m.max_response(t.id())),
+            })
+            .collect(),
+    };
+    let verdict = check_run(&evidence)?;
+    println!(
+        "{} checks, {} violation(s)",
+        verdict.checks,
+        verdict.violations.len()
+    );
+    for v in &verdict.violations {
+        println!("  {}", v.message);
+    }
+    assert!(verdict.is_sound());
     Ok(())
 }

@@ -133,95 +133,6 @@ test -s target/obs-metrics.json
 grep -q '"disparity-obs/trace-v1"' target/obs-trace.json
 grep -q '"disparity-obs/metrics-v1"' target/obs-metrics.json
 
-echo "==> service smoke (serve + loadgen burst: cache hits, overload path, clean drain)"
-ensure_fresh serve disparity-service
-ensure_fresh loadgen disparity-experiments
-rm -rf target/service-load.json target/service-metrics.json \
-    target/service-latency-series.ndjson target/postmortems-service
-# Small worker pool and queue so the overload probe reliably bounces.
-./target/release/serve --addr 127.0.0.1:7414 --workers 2 --queue 4 \
-    --obs --metrics-out target/service-metrics.json \
-    --metrics-interval-ms 50 --postmortem-dir target/postmortems-service &
-SERVE_PID=$!
-# The daemon binds before printing; give it a moment, then let loadgen's
-# own retry-free connect be the readiness check.
-tries=0
-until ./target/release/loadgen --addr 127.0.0.1:7414 \
-        --spec specs/waters_clean.json --requests 1 --connections 1 \
-        >/dev/null 2>&1; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 25 ]; then
-        echo "tier1: serve did not come up on 127.0.0.1:7414" >&2
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
-./target/release/loadgen --addr 127.0.0.1:7414 \
-    --spec specs/waters_clean.json --requests 40 --connections 4 \
-    --require-cache-hit --probe-overload 20 --dump --shutdown \
-    --latency-series target/service-latency-series.ndjson \
-    --out target/service-load.json
-wait "$SERVE_PID"
-test -s target/service-load.json
-test -s target/service-metrics.json
-grep -q '"disparity-obs/metrics-v1"' target/service-metrics.json
-grep -q 'service.cache' target/service-metrics.json
-# Live-telemetry artifacts: the windowed latency timeline and the
-# flight-recorder postmortem the `dump` op wrote.
-test -s target/service-latency-series.ndjson
-grep -q '"window"' target/service-latency-series.ndjson
-grep -q '"disparity-obs/postmortem-v1"' target/postmortems-service/postmortem-*.ndjson
-
-echo "==> edit-replay smoke (patch op: seeded edits, byte-identical, memo hits)"
-rm -f target/edit-replay.json
-./target/release/serve --addr 127.0.0.1:7415 --workers 2 --queue 16 &
-SERVE_PID=$!
-tries=0
-until ./target/release/loadgen --addr 127.0.0.1:7415 \
-        --spec specs/waters_clean.json --requests 1 --connections 1 \
-        >/dev/null 2>&1; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 25 ]; then
-        echo "tier1: serve did not come up on 127.0.0.1:7415" >&2
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
-./target/release/loadgen --addr 127.0.0.1:7415 \
-    --spec specs/waters_clean.json --requests 24 --edit-replay --shutdown \
-    --out target/edit-replay.json
-wait "$SERVE_PID"
-test -s target/edit-replay.json
-grep -q '"passed": *true' target/edit-replay.json
-
-echo "==> optimize-replay smoke (optimize op: by-base plans, byte-identical, delta-scored)"
-# perception.json, not waters_clean.json: the WATERS spec has no useful
-# buffer candidates (every midpoint gap is below a source period), so
-# its plans are all no-ops and the scored-states assertion would trip.
-rm -f target/optimize-replay.json
-./target/release/serve --addr 127.0.0.1:7417 --workers 2 --queue 16 &
-SERVE_PID=$!
-tries=0
-until ./target/release/loadgen --addr 127.0.0.1:7417 \
-        --spec specs/perception.json --requests 1 --connections 1 \
-        >/dev/null 2>&1; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 25 ]; then
-        echo "tier1: serve did not come up on 127.0.0.1:7417" >&2
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
-./target/release/loadgen --addr 127.0.0.1:7417 \
-    --spec specs/perception.json --requests 10 --optimize-replay --shutdown \
-    --out target/optimize-replay.json
-wait "$SERVE_PID"
-test -s target/optimize-replay.json
-grep -q '"passed": *true' target/optimize-replay.json
-
 echo "==> pareto artifact (optctl budget sweep, frontier CSV written)"
 ensure_fresh optctl disparity-experiments
 rm -rf target/pareto-results
@@ -232,65 +143,7 @@ test -s target/pareto-results/pareto.csv
 echo "==> protocol fuzz smoke (10k seeded mutations + corpus replay)"
 cargo test -p disparity-service --release --test proto_fuzz -q
 
-echo "==> chaos smoke (chaosproxy + retrying loadgen, every fault kind once)"
-ensure_fresh chaosproxy disparity-experiments
-rm -rf target/chaos-*.json target/chaos-*-series.ndjson target/postmortems-chaos
-./target/release/serve --addr 127.0.0.1:7416 --workers 2 --queue 16 \
-    --metrics-interval-ms 50 --postmortem-dir target/postmortems-chaos &
-CHAOS_SERVE_PID=$!
-tries=0
-until ./target/release/loadgen --addr 127.0.0.1:7416 \
-        --spec specs/waters_clean.json --requests 1 --connections 1 \
-        >/dev/null 2>&1; do
-    tries=$((tries + 1))
-    if [ "$tries" -ge 25 ]; then
-        echo "tier1: serve did not come up on 127.0.0.1:7416" >&2
-        kill "$CHAOS_SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
-port=7420
-for kind in none delay split garbage truncate reset; do
-    ./target/release/chaosproxy --listen "127.0.0.1:$port" \
-        --upstream 127.0.0.1:7416 --kind "$kind" --seed 7 \
-        > "target/chaosproxy-$kind.log" &
-    PROXY_PID=$!
-    tries=0
-    until grep -q 'listening on' "target/chaosproxy-$kind.log"; do
-        tries=$((tries + 1))
-        if [ "$tries" -ge 25 ]; then
-            echo "tier1: chaosproxy ($kind) did not come up" >&2
-            kill "$PROXY_PID" "$CHAOS_SERVE_PID" 2>/dev/null || true
-            exit 1
-        fi
-        sleep 0.2
-    done
-    # Distinct --soak-tag per kind -> distinct poison spec, so the
-    # quarantine-after-two gate re-proves itself under every fault kind.
-    if ! ./target/release/loadgen --addr "127.0.0.1:$port" \
-            --spec specs/waters_clean.json --requests 24 --connections 3 \
-            --chaos-soak --retries 6 --backoff-ms 5 --soak-tag "$kind" \
-            --direct-addr 127.0.0.1:7416 --out "target/chaos-$kind.json" \
-            --latency-series "target/chaos-$kind-series.ndjson"; then
-        echo "tier1: chaos soak failed under kind '$kind'" >&2
-        kill "$PROXY_PID" "$CHAOS_SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    kill "$PROXY_PID" 2>/dev/null || true
-    wait "$PROXY_PID" 2>/dev/null || true
-    test -s "target/chaos-$kind.json"
-    grep -q '"passed": *true' "target/chaos-$kind.json"
-    test -s "target/chaos-$kind-series.ndjson"
-    port=$((port + 1))
-done
-./target/release/loadgen --addr 127.0.0.1:7416 \
-    --spec specs/waters_clean.json --requests 1 --connections 1 \
-    --shutdown >/dev/null
-wait "$CHAOS_SERVE_PID"
-# Every kind's quarantine probe panicked a worker twice: the flight
-# recorder must have written panic + quarantine postmortems.
-grep -ql '"reason":"panic"' target/postmortems-chaos/postmortem-*.ndjson
-grep -ql '"reason":"quarantine"' target/postmortems-chaos/postmortem-*.ndjson
+echo "==> service smokes (serve + loadgen per served path, chaos per fault kind)"
+sh scripts/service_smokes.sh
 
 echo "tier1: all gates passed"

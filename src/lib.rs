@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod offset_tuning;
-pub mod verify;
 
 pub use disparity_core as core;
 pub use disparity_model as model;
