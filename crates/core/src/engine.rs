@@ -335,9 +335,8 @@ impl<'a> AnalysisEngine<'a> {
 
     /// Backward bounds of an arbitrary chain through the cached hop
     /// bounds. Produces exactly the values of
-    /// [`backward_bounds`](crate::backward::backward_bounds); feeding the
-    /// soundness sentinel through this path replays a run against the
-    /// memoized engine.
+    /// [`backward_bounds`](crate::backward::backward_bounds); the
+    /// soundness sentinel checks observed backward times against it.
     ///
     /// # Errors
     ///
@@ -582,8 +581,8 @@ impl<'a> AnalysisEngine<'a> {
                 index.push((i, j));
             }
         }
-        // The caches are read-only during the pair loop: warm every edge
-        // up front so workers never touch the RefCell.
+        // Workers only read the prefix tables, which are complete before
+        // the loop starts; the hop cache is not touched here.
         let chunk = index.len().div_ceil(self.workers);
         let mut pairs = Vec::with_capacity(index.len());
         let mut exhausted = false;

@@ -23,6 +23,11 @@
 //!   are not applicable; the sentinel falls back to the scheduler-agnostic
 //!   Dürr-style baseline `Σ (T + R)` and reports itself as degraded.
 //!
+//! Every bound comes from one serial [`AnalysisEngine`] over the run's
+//! graph — the same memoized path that serves analysis answers — so an
+//! observation above a served number is exactly what the sentinel
+//! reports. The uncached direct path stays the engine's test oracle.
+//!
 //! Every violation carries the observed value, the bound it broke and a
 //! human-readable message; [`artifact`] renders the full report plus a
 //! minimized reproduction (seed, fault plan, graph spec) as JSON.
@@ -34,12 +39,12 @@ use disparity_model::json::{self, Value};
 use disparity_model::spec::SystemSpec;
 use disparity_model::time::Duration;
 use disparity_sched::schedulability::analyze;
-use disparity_sched::wcrt::ResponseTimes;
 
-use crate::backward::{backward_bounds, BackwardBounds};
-use crate::baseline::baseline_wcbt;
+use crate::baseline::try_baseline_wcbt;
+use crate::disparity::AnalysisConfig;
+use crate::engine::AnalysisEngine;
 use crate::error::AnalysisError;
-use crate::pairwise::{theorem1_bound_with, theorem2_bound_with};
+use crate::prelude::Method;
 
 /// Observed backward-time extrema of one monitored chain.
 #[derive(Debug, Clone)]
@@ -156,6 +161,42 @@ impl SentinelReport {
     pub fn is_sound(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// Counts one bound check. A failed check becomes a violation; its
+    /// subject and message are rendered only then.
+    fn check(
+        &mut self,
+        kind: CheckKind,
+        label: &str,
+        observed: Duration,
+        bound: Duration,
+        subject: impl FnOnce() -> String,
+    ) {
+        // BCBT is the only lower bound; every other check is an upper one.
+        let slack = if kind == CheckKind::Bcbt {
+            observed - bound
+        } else {
+            bound - observed
+        };
+        self.checks += 1;
+        observe_slack(slack);
+        if slack >= Duration::ZERO {
+            return;
+        }
+        let (quantity, verb) = match kind {
+            CheckKind::Response => ("response time", "exceeds"),
+            CheckKind::PDiff | CheckKind::SDiff => ("disparity", "exceeds"),
+            CheckKind::Bcbt => ("backward time", "undercuts"),
+            CheckKind::Wcbt | CheckKind::FlagIntegrity => ("backward time", "exceeds"),
+        };
+        self.violations.push(Violation {
+            kind,
+            subject: subject(),
+            observed,
+            bound,
+            message: format!("observed {quantity} {observed} {verb} {label} {bound}"),
+        });
+    }
 }
 
 /// Judges one run: classifies it, picks the applicable bounds and checks
@@ -167,46 +208,33 @@ impl SentinelReport {
 ///   all (utilization ≥ 1 divergence) — without them not even the
 ///   baseline applies.
 /// * [`AnalysisError::Model`] when a chain in the evidence is not a path
-///   of the graph.
-/// * Errors of the pairwise theorems for malformed chain pairs.
+///   of the graph, or a checked task's chains exceed the enumeration
+///   budget.
 pub fn check_run(evidence: &RunEvidence<'_>) -> Result<SentinelReport, AnalysisError> {
-    let report = analyze(evidence.graph)?;
-    let degraded = !report.all_schedulable();
-    let rt = report.into_response_times();
-    let graph = evidence.graph;
-    check_run_with(evidence, &rt, degraded, &|c| backward_bounds(graph, c, &rt))
-}
-
-/// [`check_run`] over an arbitrary backward-bounds provider.
-///
-/// The provider feeds the chain checks *and* both pairwise theorems, so a
-/// deliberately corrupted provider lets tests prove the sentinel notices
-/// a broken bound (mutation testing). `degraded` switches chain upper
-/// bounds to the Dürr baseline and skips the model-based checks that
-/// assume schedulability.
-///
-/// # Errors
-///
-/// Same conditions as [`check_run`] minus the schedulability analysis.
-pub fn check_run_with(
-    evidence: &RunEvidence<'_>,
-    rt: &ResponseTimes,
-    degraded: bool,
-    bounds_of: &dyn Fn(&Chain) -> BackwardBounds,
-) -> Result<SentinelReport, AnalysisError> {
     let _span = disparity_obs::span!(
         "sentinel.check_run",
         chains = evidence.chains.len(),
         tasks = evidence.tasks.len(),
     );
-    let mut checks = 0usize;
-    let mut violations = Vec::new();
+    let graph = evidence.graph;
+    let sched = analyze(graph)?;
+    let degraded = !sched.all_schedulable();
+    let rt = sched.into_response_times();
+    // Model-violating faults fired: the bounds may legitimately fail, so
+    // the only sound move is to flag the run and check nothing else.
+    let enforced = evidence.model_preserving || !evidence.faults_fired;
+    let mut report = SentinelReport {
+        enforced,
+        degraded,
+        checks: 0,
+        violations: Vec::new(),
+    };
 
     // Flag integrity is checked on every run: a plan declared
     // model-preserving must never report fired model violations.
-    checks += 1;
+    report.checks += 1;
     if evidence.model_preserving && evidence.faults_fired {
-        violations.push(Violation {
+        report.violations.push(Violation {
             kind: CheckKind::FlagIntegrity,
             subject: "run".to_string(),
             observed: Duration::ZERO,
@@ -214,125 +242,58 @@ pub fn check_run_with(
             message: "model-preserving plan reported fired model violations".to_string(),
         });
     }
-
-    // Model-violating faults fired: the bounds may legitimately fail, so
-    // the only sound move is to flag the run and stop here.
-    let enforced = evidence.model_preserving || !evidence.faults_fired;
     if !enforced {
-        let report = SentinelReport {
-            enforced,
-            degraded,
-            checks,
-            violations,
-        };
         record_verdict(&report);
         return Ok(report);
     }
 
+    let engine = AnalysisEngine::new(graph, &rt).with_workers(1);
     for ev in &evidence.chains {
-        // Re-validate: all chain arithmetic below assumes a graph path.
-        let chain = Chain::new(evidence.graph, ev.chain.tasks().to_vec())?;
-        let subject = chain.to_string();
-        let upper = if degraded {
-            baseline_wcbt(evidence.graph, &chain, rt)
-        } else {
-            bounds_of(&chain).wcbt
-        };
-        if let Some(hi) = ev.max_backward {
-            checks += 1;
-            observe_slack(upper - hi);
-            if hi > upper {
-                violations.push(Violation {
-                    kind: CheckKind::Wcbt,
-                    subject: subject.clone(),
-                    observed: hi,
-                    bound: upper,
-                    message: format!(
-                        "observed backward time {hi} exceeds {} {upper}",
-                        if degraded { "baseline WCBT" } else { "WCBT" }
-                    ),
-                });
-            }
-        }
+        let subject = || ev.chain.to_string();
         if degraded {
-            continue; // Lemma 5 presumes R(τ) ≤ T(τ); skip when broken.
+            // Lemmas 4–5 presume R(τ) ≤ T(τ): only the baseline applies.
+            let upper = try_baseline_wcbt(graph, &ev.chain, &rt)?;
+            if let Some(hi) = ev.max_backward {
+                report.check(CheckKind::Wcbt, "baseline WCBT", hi, upper, subject);
+            }
+            continue;
+        }
+        let bounds = engine.backward_bounds(&ev.chain)?;
+        if let Some(hi) = ev.max_backward {
+            report.check(CheckKind::Wcbt, "WCBT", hi, bounds.wcbt, subject);
         }
         if let Some(lo) = ev.min_backward {
-            let bcbt = bounds_of(&chain).bcbt;
-            checks += 1;
-            observe_slack(lo - bcbt);
-            if lo < bcbt {
-                violations.push(Violation {
-                    kind: CheckKind::Bcbt,
-                    subject,
-                    observed: lo,
-                    bound: bcbt,
-                    message: format!("observed backward time {lo} undercuts BCBT {bcbt}"),
-                });
-            }
+            report.check(CheckKind::Bcbt, "BCBT", lo, bounds.bcbt, subject);
         }
     }
 
-    for ev in &evidence.tasks {
-        let subject = format!("{}", ev.task);
-        if !degraded {
+    if !degraded {
+        // The WCRT analysis and Theorems 1–3 presume schedulability.
+        for ev in &evidence.tasks {
+            let subject = || ev.task.to_string();
             if let Some(r) = ev.max_response {
-                checks += 1;
-                let wcrt = rt.wcrt(ev.task);
-                observe_slack(wcrt - r);
-                if r > wcrt {
-                    violations.push(Violation {
-                        kind: CheckKind::Response,
-                        subject: subject.clone(),
-                        observed: r,
-                        bound: wcrt,
-                        message: format!("observed response time {r} exceeds WCRT {wcrt}"),
-                    });
-                }
+                report.check(CheckKind::Response, "WCRT", r, rt.wcrt(ev.task), subject);
             }
-        }
-        let Some(observed) = ev.max_disparity else {
-            continue;
-        };
-        if degraded {
-            continue; // Theorems 1–3 presume schedulability.
-        }
-        let chains = evidence.graph.chains_to(ev.task, DISPARITY_CHAIN_LIMIT)?;
-        if chains.len() < 2 {
-            continue; // No pair of sources can disagree.
-        }
-        let p_diff = p_diff_with(evidence.graph, &chains, bounds_of)?;
-        checks += 1;
-        observe_slack(p_diff - observed);
-        if observed > p_diff {
-            violations.push(Violation {
-                kind: CheckKind::PDiff,
-                subject: subject.clone(),
-                observed,
-                bound: p_diff,
-                message: format!("observed disparity {observed} exceeds P-diff {p_diff}"),
-            });
-        }
-        let s_diff = s_diff_with(evidence.graph, &chains, bounds_of)?;
-        checks += 1;
-        observe_slack(s_diff - observed);
-        if observed > s_diff {
-            violations.push(Violation {
-                kind: CheckKind::SDiff,
-                subject,
-                observed,
-                bound: s_diff,
-                message: format!("observed disparity {observed} exceeds S-diff {s_diff}"),
-            });
+            let Some(observed) = ev.max_disparity else {
+                continue;
+            };
+            for (kind, label, method) in [
+                (CheckKind::PDiff, "P-diff", Method::Independent),
+                (CheckKind::SDiff, "S-diff", Method::ForkJoin),
+            ] {
+                let config = AnalysisConfig {
+                    method,
+                    chain_limit: DISPARITY_CHAIN_LIMIT,
+                };
+                let analysis = engine.worst_case_disparity(ev.task, config)?;
+                if analysis.chains.len() < 2 {
+                    break; // No pair of sources can disagree.
+                }
+                report.check(kind, label, observed, analysis.bound, subject);
+            }
         }
     }
 
-    let report = SentinelReport {
-        enforced,
-        degraded,
-        checks,
-        violations,
-    };
     record_verdict(&report);
     Ok(report)
 }
@@ -365,40 +326,6 @@ fn observe_slack(slack: Duration) {
     if disparity_obs::is_enabled() {
         disparity_obs::observe("sentinel.slack_ns", slack.as_nanos());
     }
-}
-
-/// Theorem 1 over every unordered chain pair.
-fn p_diff_with(
-    graph: &CauseEffectGraph,
-    chains: &[Chain],
-    bounds_of: &dyn Fn(&Chain) -> BackwardBounds,
-) -> Result<Duration, AnalysisError> {
-    let mut bound = Duration::ZERO;
-    for i in 0..chains.len() {
-        for j in (i + 1)..chains.len() {
-            bound = bound.max(theorem1_bound_with(graph, &chains[i], &chains[j], bounds_of)?);
-        }
-    }
-    Ok(bound)
-}
-
-/// Theorem 2 over every unordered chain pair, each truncated at its last
-/// joint task first (the disparity is decided where the chains diverge).
-fn s_diff_with(
-    graph: &CauseEffectGraph,
-    chains: &[Chain],
-    bounds_of: &dyn Fn(&Chain) -> BackwardBounds,
-) -> Result<Duration, AnalysisError> {
-    let mut bound = Duration::ZERO;
-    for i in 0..chains.len() {
-        for j in (i + 1)..chains.len() {
-            let Some((lam, nu)) = chains[i].truncate_to_last_joint(&chains[j]) else {
-                continue; // disjoint suffixes: nothing to compare at the sink
-            };
-            bound = bound.max(theorem2_bound_with(graph, &lam, &nu, bounds_of)?);
-        }
-    }
-    Ok(bound)
 }
 
 /// Renders a sentinel verdict plus its minimized reproduction (seed,
@@ -539,49 +466,64 @@ mod tests {
     fn corrupted_wcbt_is_detected_exactly_once() {
         let (g, fuse, chains) = fusion();
         let mut ev = clean_evidence(&g, fuse, &chains);
-        // Restrict to one chain and drop the disparity/bcbt checks so the
-        // mutation surfaces in exactly one place.
+        // One chain, no BCBT or task evidence: a WCBT breach can surface
+        // in exactly one place.
         ev.chains.truncate(1);
         ev.chains[0].min_backward = None;
         ev.tasks.clear();
-        let report = analyze(&g).unwrap();
-        let rt = report.into_response_times();
-        // Mutation: report a WCBT 1ns below the observation.
-        let broken = |c: &Chain| {
-            let mut b = backward_bounds(&g, c, &rt);
-            b.wcbt = ev.chains[0].max_backward.unwrap() - Duration::from_nanos(1);
-            b
-        };
-        let verdict = check_run_with(&ev, &rt, false, &broken).unwrap();
+        let rt = analyze(&g).unwrap().into_response_times();
+        let wcbt = crate::backward::backward_bounds(&g, &chains[0], &rt).wcbt;
+        ev.chains[0].max_backward = Some(wcbt);
+        assert!(check_run(&ev).unwrap().is_sound(), "the bound itself holds");
+        // Corrupted evidence: one nanosecond past the bound.
+        ev.chains[0].max_backward = Some(wcbt + Duration::from_nanos(1));
+        let verdict = check_run(&ev).unwrap();
         assert_eq!(verdict.violations.len(), 1);
-        assert_eq!(verdict.violations[0].kind, CheckKind::Wcbt);
-        // The same evidence under the true bounds is sound.
-        let honest = check_run(&ev).unwrap();
-        assert!(honest.is_sound());
+        let v = &verdict.violations[0];
+        assert_eq!((v.kind, v.bound), (CheckKind::Wcbt, wcbt));
+        assert_eq!(v.subject, chains[0].to_string());
     }
 
     #[test]
-    fn corrupted_bounds_poison_the_pairwise_theorems_too() {
+    fn disparity_past_both_theorems_violates_each() {
         let (g, fuse, chains) = fusion();
         let mut ev = clean_evidence(&g, fuse, &chains);
-        // Keep only the disparity observation.
         ev.chains.clear();
+        let rt = analyze(&g).unwrap().into_response_times();
+        let oracle = |method| {
+            let config = AnalysisConfig {
+                method,
+                chain_limit: DISPARITY_CHAIN_LIMIT,
+            };
+            crate::disparity::worst_case_disparity_direct(&g, fuse, &rt, config)
+                .unwrap()
+                .bound
+        };
+        let (p, s) = (oracle(Method::Independent), oracle(Method::ForkJoin));
         ev.tasks = vec![TaskEvidence {
             task: fuse,
-            max_disparity: Some(ms(20)),
+            max_disparity: Some(p.max(s) + Duration::from_nanos(1)),
             max_response: None,
         }];
-        let report = analyze(&g).unwrap();
-        let rt = report.into_response_times();
-        // Mutation: pretend every backward time is exactly zero, which
-        // collapses both theorem bounds below the observed 20ms.
-        let broken = |_c: &Chain| BackwardBounds {
-            wcbt: Duration::ZERO,
-            bcbt: Duration::ZERO,
-        };
-        let verdict = check_run_with(&ev, &rt, false, &broken).unwrap();
-        let kinds: Vec<CheckKind> = verdict.violations.iter().map(|v| v.kind).collect();
-        assert_eq!(kinds, vec![CheckKind::PDiff, CheckKind::SDiff]);
+        let verdict = check_run(&ev).unwrap();
+        let got: Vec<(CheckKind, Duration)> =
+            verdict.violations.iter().map(|v| (v.kind, v.bound)).collect();
+        assert_eq!(got, vec![(CheckKind::PDiff, p), (CheckKind::SDiff, s)]);
+    }
+
+    #[test]
+    fn foreign_chain_is_a_model_error() {
+        let (g, fuse, chains) = fusion();
+        let mut ev = clean_evidence(&g, fuse, &chains);
+        // The foreign chain's ids name s1 → s2 in the fusion graph, which
+        // is not an edge there: both are sources.
+        let mut b = SystemBuilder::new();
+        let a = b.add_task(TaskSpec::periodic("a", ms(10)));
+        let c = b.add_task(TaskSpec::periodic("c", ms(10)));
+        b.connect(a, c);
+        let other = b.build().unwrap();
+        ev.chains[0].chain = Chain::new(&other, vec![a, c]).unwrap();
+        assert!(matches!(check_run(&ev), Err(AnalysisError::Model(_))));
     }
 
     #[test]

@@ -8,18 +8,18 @@
 //! integer nanoseconds, so the two paths must agree bit-for-bit, not
 //! merely within a tolerance.
 
+use disparity_core::backward::{backward_bounds, BackwardBounds};
 use disparity_core::disparity::{
     worst_case_disparity, worst_case_disparity_direct, AnalysisConfig, DisparityReport,
 };
 use disparity_core::engine::AnalysisEngine;
 use disparity_core::pairwise::{pairwise_bound, theorem1_bound, theorem2_bound, Method};
-use disparity_core::sentinel::{self, ChainEvidence, RunEvidence, TaskEvidence};
+use disparity_core::sentinel::{self, ChainEvidence, CheckKind, RunEvidence, TaskEvidence};
 use disparity_model::graph::CauseEffectGraph;
 use disparity_model::time::Duration;
 use disparity_rng::rngs::StdRng;
 use disparity_sched::schedulability::analyze;
 use disparity_sched::wcrt::ResponseTimes;
-use disparity_sim::engine::{SimConfig, Simulator};
 use disparity_workload::funnel::{schedulable_funnel_system, FunnelConfig};
 use disparity_workload::graphgen::{schedulable_random_system, GraphGenConfig};
 
@@ -177,83 +177,140 @@ fn engine_matches_direct_theorems_on_funnel_graphs() {
     assert!(checked >= 4, "too few schedulable funnel draws ({checked})");
 }
 
-/// Replays a simulated run through the sentinel twice — once with the
-/// stock per-chain fold and once with the engine's memoized
-/// `backward_bounds` as the provider — and demands identical verdicts.
-/// The provider feeds the chain checks *and* both pairwise theorems, so
-/// this exercises the engine on truncated sub-chains the report path
-/// never constructs explicitly.
+/// The sentinel judges evidence against exactly the oracle's bounds. On
+/// seeded WATERS and funnel systems, each once with register channels
+/// and once with every channel a FIFO, evidence sitting on every
+/// direct-path bound (`backward_bounds`, `worst_case_disparity_direct`
+/// and the WCRT) passes, and evidence one nanosecond past one bound
+/// yields exactly the violations of the bounds it passed.
 #[test]
-fn sentinel_replay_through_engine_matches_direct_provider() {
-    let mut replayed = 0usize;
-    for seed in 1..=4u64 {
-        let Some(graph) = waters_graph(15, seed) else {
-            continue;
-        };
-        let rt = analyze(&graph).expect("schedulable").into_response_times();
-        let Some(&sink) = graph.sinks().first() else {
-            panic!("generated graph has no sink");
-        };
-        let chains = graph.chains_to(sink, CHAIN_LIMIT).expect("chain budget");
-
-        let mut sim = Simulator::new(
-            &graph,
-            SimConfig {
-                horizon: Duration::from_millis(2_000),
-                warmup: Duration::from_millis(400),
-                seed,
-                ..SimConfig::default()
-            },
-        );
-        sim.monitor_chains(chains.iter().cloned());
-        let out = sim.run().expect("simulation");
-
-        let evidence = RunEvidence {
-            graph: &graph,
-            seed,
-            fault_plan: "none".to_string(),
-            model_preserving: true,
-            faults_fired: false,
-            chains: chains
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let o = out.metrics.chain(i);
-                    ChainEvidence {
-                        chain: c.clone(),
-                        min_backward: o.min_backward,
-                        max_backward: o.max_backward,
-                        samples: o.samples,
-                    }
-                })
-                .collect(),
-            tasks: vec![TaskEvidence {
-                task: sink,
-                max_disparity: out.metrics.max_disparity(sink),
-                max_response: Some(out.metrics.max_response(sink)),
-            }],
-        };
-
-        let stock = sentinel::check_run(&evidence).expect("stock sentinel");
-        let engine = AnalysisEngine::new(&graph, &rt);
-        let replay = sentinel::check_run_with(&evidence, &rt, false, &|c| {
-            engine
-                .backward_bounds(c)
-                .expect("sentinel chains are valid graph paths")
-        })
-        .expect("engine-backed sentinel");
-
-        assert_eq!(stock.enforced, replay.enforced, "seed {seed}: enforced");
-        assert_eq!(stock.degraded, replay.degraded, "seed {seed}: degraded");
-        assert_eq!(stock.checks, replay.checks, "seed {seed}: check count");
-        assert_eq!(
-            stock.violations.len(),
-            replay.violations.len(),
-            "seed {seed}: violation count",
-        );
-        assert!(stock.is_sound(), "seed {seed}: simulated run must be in-bound");
-        assert!(replay.is_sound(), "seed {seed}: engine replay must be in-bound");
-        replayed += 1;
+fn sentinel_judges_evidence_at_the_oracle_bounds() {
+    let mut systems = Vec::new();
+    for seed in 1..=3u64 {
+        systems.extend(waters_graph(12, seed).map(|g| (g, format!("waters(seed={seed})"))));
+        systems.extend(funnel_graph(9, seed).map(|g| (g, format!("funnel(seed={seed})"))));
     }
-    assert!(replayed >= 2, "too few sentinel replays ({replayed})");
+    let mut judged = 0usize;
+    let mut with_disparity = 0usize;
+    for (graph, what) in systems {
+        let mut fifo = graph.clone();
+        let ids: Vec<_> = fifo.channels().iter().map(|c| c.id()).collect();
+        for id in ids {
+            fifo.set_channel_capacity(id, 3).expect("capacity");
+        }
+        for (g, variant) in [(&graph, "registers"), (&fifo, "fifo(3)")] {
+            if judge_at_oracle_bounds(g, &format!("{what}/{variant}")) {
+                with_disparity += 1;
+            }
+            judged += 1;
+        }
+    }
+    assert!(judged >= 8, "too few schedulable draws ({judged})");
+    assert!(
+        with_disparity >= 4,
+        "too few fusion sinks ({with_disparity})"
+    );
+}
+
+/// One system of [`sentinel_judges_evidence_at_the_oracle_bounds`];
+/// returns whether the sink's disparity checks ran.
+fn judge_at_oracle_bounds(graph: &CauseEffectGraph, what: &str) -> bool {
+    let sched = analyze(graph).expect("response times");
+    assert!(
+        sched.all_schedulable(),
+        "{what}: generated system is schedulable"
+    );
+    let rt = sched.into_response_times();
+    let sink = *graph.sinks().first().expect("generated graph has a sink");
+    let all_chains = graph.chains_to(sink, CHAIN_LIMIT).expect("chain budget");
+    let fusion = all_chains.len() >= 2;
+    let chains = &all_chains[..all_chains.len().min(8)];
+    let bounds: Vec<BackwardBounds> = chains
+        .iter()
+        .map(|c| backward_bounds(graph, c, &rt))
+        .collect();
+    let oracle = |method| {
+        let config = AnalysisConfig {
+            method,
+            chain_limit: CHAIN_LIMIT,
+        };
+        worst_case_disparity_direct(graph, sink, &rt, config)
+            .expect("direct analysis")
+            .bound
+    };
+    let (p_diff, s_diff) = (oracle(Method::Independent), oracle(Method::ForkJoin));
+    let wcrt = rt.wcrt(sink);
+
+    let at_bounds = RunEvidence {
+        graph,
+        seed: 0,
+        fault_plan: "none".to_string(),
+        model_preserving: true,
+        faults_fired: false,
+        chains: chains
+            .iter()
+            .zip(&bounds)
+            .map(|(c, b)| ChainEvidence {
+                chain: c.clone(),
+                min_backward: Some(b.bcbt),
+                max_backward: Some(b.wcbt),
+                samples: 1,
+            })
+            .collect(),
+        tasks: vec![TaskEvidence {
+            task: sink,
+            max_disparity: Some(p_diff.min(s_diff)),
+            max_response: Some(wcrt),
+        }],
+    };
+    let report = sentinel::check_run(&at_bounds).expect("sentinel");
+    assert!(
+        report.is_sound(),
+        "{what}: evidence on the bounds: {:?}",
+        report.violations
+    );
+    let disparity_checks = if fusion { 2 } else { 0 };
+    assert_eq!(
+        report.checks,
+        1 + 2 * chains.len() + 1 + disparity_checks,
+        "{what}: checks"
+    );
+
+    let ns = Duration::from_nanos(1);
+    let judge = |ev: &RunEvidence<'_>, expected: &[(CheckKind, Duration, Duration)]| {
+        let verdict = sentinel::check_run(ev).expect("sentinel");
+        let got: Vec<_> = verdict
+            .violations
+            .iter()
+            .map(|v| (v.kind, v.observed, v.bound))
+            .collect();
+        assert_eq!(got, expected, "{what}: (kind, observed, bound)");
+    };
+    for (i, b) in bounds.iter().enumerate() {
+        let mut ev = at_bounds.clone();
+        ev.chains[i].max_backward = Some(b.wcbt + ns);
+        judge(&ev, &[(CheckKind::Wcbt, b.wcbt + ns, b.wcbt)]);
+        let mut ev = at_bounds.clone();
+        ev.chains[i].min_backward = Some(b.bcbt - ns);
+        judge(&ev, &[(CheckKind::Bcbt, b.bcbt - ns, b.bcbt)]);
+    }
+    let mut ev = at_bounds.clone();
+    ev.tasks[0].max_response = Some(wcrt + ns);
+    judge(&ev, &[(CheckKind::Response, wcrt + ns, wcrt)]);
+    if fusion {
+        // One observation meets both theorems: one past the tighter bound
+        // breaks it alone, one past the looser breaks both when they differ.
+        for bound in [p_diff, s_diff] {
+            let observed = bound + ns;
+            let mut ev = at_bounds.clone();
+            ev.tasks[0].max_disparity = Some(observed);
+            let expected: Vec<_> = [(CheckKind::PDiff, p_diff), (CheckKind::SDiff, s_diff)]
+                .into_iter()
+                .filter(|&(_, b)| b < observed)
+                .map(|(kind, b)| (kind, observed, b))
+                .collect();
+            judge(&ev, &expected);
+        }
+    }
+    fusion
 }

@@ -217,28 +217,10 @@ where
     F: Fn(usize, &Fig6abConfig, &mut StdRng) -> Option<disparity_model::graph::CauseEffectGraph>
         + Sync,
 {
-    let mut rows: Vec<Option<Fig6abRow>> = vec![None; config.task_counts.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (point, &n_tasks) in config.task_counts.iter().enumerate() {
-            let generate = &generate;
-            handles
-                .push(scope.spawn(move || (point, sweep_point(config, point, n_tasks, generate))));
-        }
-        for handle in handles {
-            let (point, row) = match handle.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            rows[point] = Some(row);
-        }
-    });
-    rows.into_iter()
-        .map(|r| match r {
-            Some(row) => row,
-            None => unreachable!("every point computed"),
-        })
-        .collect()
+    let points = config.task_counts.len();
+    run_indexed(points, points, |point| {
+        sweep_point(config, point, config.task_counts[point], &generate)
+    })
 }
 
 fn sweep_point<F>(config: &Fig6abConfig, point: usize, n_tasks: usize, generate: &F) -> Fig6abRow

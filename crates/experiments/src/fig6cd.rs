@@ -98,26 +98,10 @@ impl Fig6cdRow {
 /// any worker count (results reduce in attempt order).
 #[must_use]
 pub fn run(config: &Fig6cdConfig) -> Vec<Fig6cdRow> {
-    let mut rows: Vec<Option<Fig6cdRow>> = vec![None; config.chain_lengths.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (point, &chain_len) in config.chain_lengths.iter().enumerate() {
-            handles.push(scope.spawn(move || (point, sweep_point(config, point, chain_len))));
-        }
-        for handle in handles {
-            let (point, row) = match handle.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            rows[point] = Some(row);
-        }
-    });
-    rows.into_iter()
-        .map(|r| match r {
-            Some(row) => row,
-            None => unreachable!("every point computed"),
-        })
-        .collect()
+    let points = config.chain_lengths.len();
+    run_indexed(points, points, |point| {
+        sweep_point(config, point, config.chain_lengths[point])
+    })
 }
 
 fn sweep_point(config: &Fig6cdConfig, point: usize, chain_len: usize) -> Fig6cdRow {

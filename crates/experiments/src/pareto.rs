@@ -20,7 +20,7 @@ use disparity_opt::{optimize_analyzed, BackendChoice, BufferBudget, GlobalPlan, 
 use disparity_rng::SplitMix64;
 use disparity_workload::funnel::{schedulable_funnel_system, FunnelConfig};
 
-use crate::par::attempt_seed;
+use crate::par::{attempt_seed, run_indexed};
 use crate::stats::mean;
 use crate::table::{fmt_ms, fmt_pct, Table};
 
@@ -98,26 +98,10 @@ impl ParetoRow {
 /// attempt index alone so every point optimizes the same population.
 #[must_use]
 pub fn run(config: &ParetoConfig) -> Vec<ParetoRow> {
-    let mut rows: Vec<Option<ParetoRow>> = vec![None; config.budgets.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (point, &budget) in config.budgets.iter().enumerate() {
-            handles.push(scope.spawn(move || (point, sweep_point(config, budget))));
-        }
-        for handle in handles {
-            let (point, row) = match handle.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            rows[point] = Some(row);
-        }
-    });
-    rows.into_iter()
-        .map(|r| match r {
-            Some(row) => row,
-            None => unreachable!("every point computed"),
-        })
-        .collect()
+    let points = config.budgets.len();
+    run_indexed(points, points, |point| {
+        sweep_point(config, config.budgets[point])
+    })
 }
 
 /// One optimized system's contribution to a point.

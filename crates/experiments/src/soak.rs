@@ -511,8 +511,8 @@ pub fn run_soak(config: &SoakConfig, log: &mut dyn FnMut(String)) -> SoakSummary
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disparity_core::backward::{backward_bounds, BackwardBounds};
-    use disparity_core::sentinel::{check_run_with, CheckKind};
+    use disparity_core::backward::backward_bounds;
+    use disparity_core::sentinel::{check_run, CheckKind};
     use disparity_sched::schedulability::analyze;
 
     #[test]
@@ -568,8 +568,8 @@ mod tests {
     }
 
     /// End-to-end mutation test: evidence from a *real* simulation run is
-    /// judged against a deliberately corrupted WCBT; the sentinel must
-    /// notice, and the honest bounds must pass the same evidence.
+    /// sound, and the same evidence pushed one nanosecond past the true
+    /// WCBT is caught exactly once, against exactly that bound.
     #[test]
     fn sentinel_detects_a_broken_bound_on_real_evidence() {
         let config = SoakConfig::quick();
@@ -590,7 +590,7 @@ mod tests {
         sim.monitor_chains(probe.chains.iter().cloned());
         let out = sim.run().unwrap();
         let o = out.metrics.chain(0);
-        let evidence = RunEvidence {
+        let mut evidence = RunEvidence {
             graph: &probe.graph,
             seed: 42,
             fault_plan: format!("{:?}", FaultPlan::none()),
@@ -605,22 +605,15 @@ mod tests {
             tasks: Vec::new(),
         };
         assert!(o.samples > 0, "simulation produced backward samples");
-        let rt = analyze(&probe.graph).unwrap().into_response_times();
-        let honest = check_run_with(&evidence, &rt, false, &|c| {
-            backward_bounds(&probe.graph, c, &rt)
-        })
-        .unwrap();
+        let honest = check_run(&evidence).unwrap();
         assert!(honest.is_sound(), "{:?}", honest.violations);
-        // Mutation: halve the WCBT below the observed maximum.
-        let broken = |c: &Chain| {
-            let b = backward_bounds(&probe.graph, c, &rt);
-            BackwardBounds {
-                wcbt: o.max_backward.unwrap() - Duration::from_nanos(1),
-                bcbt: b.bcbt,
-            }
-        };
-        let verdict = check_run_with(&evidence, &rt, false, &broken).unwrap();
+        let rt = analyze(&probe.graph).unwrap().into_response_times();
+        let wcbt = backward_bounds(&probe.graph, &probe.chains[0], &rt).wcbt;
+        assert!(o.max_backward.unwrap() <= wcbt);
+        evidence.chains[0].max_backward = Some(wcbt + Duration::from_nanos(1));
+        let verdict = check_run(&evidence).unwrap();
         assert_eq!(verdict.violations.len(), 1);
         assert_eq!(verdict.violations[0].kind, CheckKind::Wcbt);
+        assert_eq!(verdict.violations[0].bound, wcbt);
     }
 }

@@ -321,8 +321,8 @@ impl CauseEffectGraph {
         Ok(())
     }
 
-    /// Replaces the worst-case execution time of a task (the sensitivity-
-    /// analysis knob).
+    /// Replaces the worst-case execution time of a task (what a
+    /// `set_wcet` edit applies).
     ///
     /// # Errors
     ///

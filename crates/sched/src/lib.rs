@@ -33,7 +33,6 @@
 
 pub mod error;
 pub mod schedulability;
-pub mod sensitivity;
 pub mod utilization;
 pub mod wcrt;
 
@@ -41,7 +40,6 @@ pub mod wcrt;
 pub mod prelude {
     pub use crate::error::SchedError;
     pub use crate::schedulability::{analyze, SchedulabilityReport, TaskVerdict};
-    pub use crate::sensitivity::{wcet_slack, WcetSlack};
     pub use crate::utilization::{all_utilizations, ecu_utilization, peak_utilization};
     pub use crate::wcrt::{response_times, ResponseTimes, TaskResponse};
 }

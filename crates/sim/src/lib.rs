@@ -45,7 +45,6 @@ pub mod endtoend;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod export;
 pub mod fault;
 pub mod metrics;
 pub mod token;
@@ -57,7 +56,6 @@ pub mod prelude {
     pub use crate::engine::{CommunicationSemantics, SimConfig, SimOutcome, Simulator};
     pub use crate::error::SimError;
     pub use crate::exec::ExecutionTimeModel;
-    pub use crate::export::{to_ascii_gantt, to_chrome_trace};
     pub use crate::fault::{
         ExecFault, FaultPlan, FaultSummary, ReleaseJitter, StallPlan, TokenLoss,
     };

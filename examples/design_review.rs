@@ -1,6 +1,6 @@
-//! A full design review of a fusion system using every tool in the box:
-//! rate-mismatch lints, WCET slack, disparity bounds, offset tuning, and
-//! the soundness sentinel's bound-vs-observation check.
+//! A design review of a fusion system: structure, rate-mismatch lints,
+//! schedulability, the disparity bound, and the soundness sentinel's
+//! bound-vs-observation check on a simulated run.
 //!
 //! Run with: `cargo run --example design_review`
 
@@ -9,7 +9,6 @@ use time_disparity::core::sentinel::{check_run, ChainEvidence, RunEvidence, Task
 use time_disparity::model::lints::lint_graph;
 use time_disparity::model::metrics::profile;
 use time_disparity::model::prelude::*;
-use time_disparity::offset_tuning::{tune_offsets, OffsetTuningConfig};
 use time_disparity::sched::prelude::*;
 use time_disparity::sim::prelude::*;
 
@@ -55,20 +54,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("warning: {lint}");
     }
 
-    // --- 3. schedulability and slack -----------------------------------------
-    println!("\n== schedulability & WCET slack ==");
+    // --- 3. schedulability ----------------------------------------------------
+    println!("\n== schedulability ==");
     let report = analyze(&graph)?;
     assert!(report.all_schedulable());
     for task in graph.tasks() {
         if task.is_zero_cost() {
             continue;
         }
-        let slack = wcet_slack(&graph, task.id())?;
         println!(
-            "{:<8} R = {:<6} slack = {}",
+            "{:<8} R = {}",
             task.name(),
-            report.response_times().wcrt(task.id()).to_string(),
-            slack.slack
+            report.response_times().wcrt(task.id())
         );
     }
 
@@ -77,24 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = analyze_task(&graph, fuse, AnalysisConfig::default())?;
     println!("S-diff bound: {}", analysis.bound);
 
-    // --- 5. offset tuning ----------------------------------------------------
-    println!("\n== offset tuning (deployment-level, bounds unchanged) ==");
-    let tuned = tune_offsets(&graph, fuse, &OffsetTuningConfig::default())?;
-    println!("observed disparity: {} -> {}", tuned.before, tuned.after);
-    for &s in &tuned.tuned_tasks {
-        println!(
-            "  {} offset {} -> {}",
-            graph.task(s).name(),
-            graph.task(s).offset(),
-            tuned.graph.task(s).offset()
-        );
-    }
-
-    // --- 6. verification ------------------------------------------------------
-    println!("\n== verification of the tuned deployment ==");
-    let chains = tuned.graph.chains_to(fuse, 64)?;
+    // --- 5. verification ------------------------------------------------------
+    println!("\n== verification against a simulated run ==");
+    let chains = graph.chains_to(fuse, 64)?;
     let mut sim = Simulator::new(
-        &tuned.graph,
+        &graph,
         SimConfig {
             horizon: Duration::from_secs(10),
             ..Default::default()
@@ -104,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = sim.run()?;
     let m = &outcome.metrics;
     let evidence = RunEvidence {
-        graph: &tuned.graph,
+        graph: &graph,
         seed: SimConfig::default().seed,
         fault_plan: format!("{:?}", FaultPlan::none()),
         model_preserving: true,
@@ -119,8 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 samples: m.chain(i).samples,
             })
             .collect(),
-        tasks: tuned
-            .graph
+        tasks: graph
             .tasks()
             .iter()
             .map(|t| TaskEvidence {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything must pass offline (the workspace has no
-# external crate dependencies). Mirrors .github/workflows/ci.yml.
+# external crate dependencies). CI's tier1 job runs this script as is
+# (.github/workflows/ci.yml), so a gate is added or changed here only.
 set -eu
 
 cd "$(dirname "$0")/.."

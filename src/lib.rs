@@ -49,8 +49,6 @@
 
 #![warn(missing_docs)]
 
-pub mod offset_tuning;
-
 pub use disparity_core as core;
 pub use disparity_model as model;
 pub use disparity_sched as sched;
